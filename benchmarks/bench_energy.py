@@ -9,13 +9,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exp.energy_table import measure_workload, run_energy_analysis
+from repro.api import Session
+from repro.api.schema import EnergyParams, Experiment
 from repro.exp.report import format_energy_analysis
+
+
+def energy_analysis(app: str):
+    """The VI-B analysis with the workload measured from ``app``."""
+    return Session().run(Experiment(
+        name=f"energy-{app}",
+        kind="figure",
+        params=EnergyParams(workload_app=app),
+    )).result()
 
 
 def test_energy_analysis(benchmark, report_sink):
     analysis = benchmark.pedantic(
-        lambda: run_energy_analysis(workload=measure_workload("dwt")),
+        lambda: energy_analysis("dwt"),
         rounds=1,
         iterations=1,
     )
@@ -34,7 +44,7 @@ def test_energy_analysis_per_app_workloads(benchmark, report_sink):
 
     def run_all():
         return {
-            app: run_energy_analysis(workload=measure_workload(app))
+            app: energy_analysis(app)
             for app in (
                 "dwt",
                 "matrix_filter",

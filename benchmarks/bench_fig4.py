@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
+from repro.api.schema import Experiment, Fig4Params
 from repro.energy.technology import PAPER_VOLTAGE_GRID
-from repro.exp.fig4 import Fig4Result, run_fig4
+from repro.exp.fig4 import Fig4Result
 from repro.exp.report import format_fig4
 
 APP_NAMES = (
@@ -28,11 +30,17 @@ APP_NAMES = (
 @pytest.mark.parametrize("app_name", APP_NAMES)
 def test_fig4_app(benchmark, app_name, bench_config, report_sink):
     result = benchmark.pedantic(
-        lambda: run_fig4(
-            app_names=(app_name,),
-            config=bench_config,
-            voltages=PAPER_VOLTAGE_GRID,
-        ),
+        lambda: Session().run(Experiment(
+            name=f"fig4-{app_name}",
+            kind="figure",
+            params=Fig4Params(
+                apps=(app_name,),
+                voltages=PAPER_VOLTAGE_GRID,
+                records=bench_config.records,
+                duration_s=bench_config.duration_s,
+                runs=bench_config.n_runs,
+            ),
+        )).result(),
         rounds=1,
         iterations=1,
     )

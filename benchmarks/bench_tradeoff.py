@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exp.fig4 import run_fig4
+from repro.api import Session
+from repro.api.schema import Experiment, Fig4Params
 from repro.exp.report import format_paper_example, format_tradeoff
 from repro.exp.tradeoff import paper_example_savings, run_tradeoff
 
@@ -42,7 +43,16 @@ def test_data_derived_policy(benchmark, report_sink, bench_config):
     """
 
     def derive():
-        fig4 = run_fig4(app_names=("dwt",), config=bench_config)
+        fig4 = Session().run(Experiment(
+            name="tradeoff-fig4",
+            kind="figure",
+            params=Fig4Params(
+                apps=("dwt",),
+                records=bench_config.records,
+                duration_s=bench_config.duration_s,
+                runs=bench_config.n_runs,
+            ),
+        )).result()
         return (
             run_tradeoff(fig4, app_name="dwt", tolerance_db=1.0),
             run_tradeoff(fig4, app_name="dwt", tolerance_db=5.0),

@@ -14,12 +14,12 @@ import sys
 
 import numpy as np
 
+from repro.api import Session
+from repro.api.schema import Experiment, Fig4Params
 from repro.apps import DwtApp
 from repro.emt import DreamEMT, HybridEMT, NoProtection, SecDedEMT, make_emt
 from repro.energy import EnergySystemModel, TECH_32NM_LP
-from repro.exp.common import ExperimentConfig
 from repro.exp.energy_table import measure_workload
-from repro.exp.fig4 import run_fig4
 from repro.exp.tradeoff import run_tradeoff
 from repro.mem import MemoryFabric, sample_fault_map
 from repro.mem.layout import PAPER_GEOMETRY
@@ -27,9 +27,15 @@ from repro.signals import load_record
 
 
 def main(n_runs: int = 6) -> None:
-    config = ExperimentConfig(records=("100",), duration_s=8.0, n_runs=n_runs)
+    experiment = Experiment(
+        name="hybrid-policy-sweep",
+        kind="figure",
+        params=Fig4Params(
+            apps=("dwt",), records=("100",), duration_s=8.0, runs=n_runs
+        ),
+    )
     print("deriving the policy from a DWT voltage sweep ...")
-    fig4 = run_fig4(app_names=("dwt",), config=config)
+    fig4 = Session().run(experiment).result()
     tradeoff = run_tradeoff(fig4, app_name="dwt", tolerance_db=5.0)
 
     print(f"\npolicy (DWT, -{tradeoff.tolerance_db:.0f} dB tolerance):")

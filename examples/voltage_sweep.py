@@ -12,19 +12,24 @@ from __future__ import annotations
 
 import sys
 
+from repro.api import Session
+from repro.api.schema import Experiment, Fig4Params
 from repro.emt import make_emt
 from repro.energy import EnergySystemModel, TECH_32NM_LP
-from repro.exp.common import ExperimentConfig
 from repro.exp.energy_table import measure_workload
-from repro.exp.fig4 import run_fig4
 
 
 def main(n_runs: int = 8) -> None:
-    config = ExperimentConfig(
-        records=("100", "106"), duration_s=8.0, n_runs=n_runs
+    experiment = Experiment(
+        name="voltage-sweep",
+        kind="figure",
+        params=Fig4Params(
+            apps=("dwt",), records=("100", "106"), duration_s=8.0,
+            runs=n_runs,
+        ),
     )
     print(f"sweeping 0.50-0.90 V, {n_runs} Monte-Carlo runs per point ...\n")
-    fig4 = run_fig4(app_names=("dwt",), config=config)
+    fig4 = Session().run(experiment).result()
     workload = measure_workload("dwt", duration_s=8.0)
 
     models = {

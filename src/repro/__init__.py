@@ -68,7 +68,7 @@ from . import (
 )
 from .errors import ReproError
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "api",

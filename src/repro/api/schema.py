@@ -37,10 +37,10 @@ The file layout mirrors the dataclasses::
     runs = 6
     tolerance_db = 5.0
 
-Defaults match the historical CLI subcommands flag for flag, so a file
-with only the keys you care about reproduces what the equivalent
-``repro sweep``/``repro mission``/... invocation always did (the
-golden-equivalence tests pin this).
+Defaults match the flags of the per-artefact CLI subcommands removed in
+1.8.0, so a file with only the keys you care about reproduces what the
+equivalent ``repro sweep``/``repro mission``/... invocation always did
+(``tests/api/test_schema.py`` pins this).
 """
 
 from __future__ import annotations
@@ -447,7 +447,7 @@ def _figure_from_payload(payload: Mapping[str, Any], where: str) -> FigureParams
 
 @dataclass(frozen=True)
 class SweepParams:
-    """A ``repro sweep``-style design-space-exploration campaign.
+    """A design-space-exploration sweep campaign.
 
     Attributes:
         apps / emts / voltages: the exploration grid; ``emts`` must
@@ -514,7 +514,7 @@ class SweepParams:
 
 @dataclass(frozen=True)
 class MissionParams:
-    """A ``repro mission``-style closed-loop policy comparison.
+    """A closed-loop mission policy comparison.
 
     Attributes:
         scenario: scenario registry name
@@ -588,7 +588,7 @@ class MissionParams:
 
 @dataclass(frozen=True)
 class CohortParams:
-    """A ``repro cohort``-style population fleet simulation.
+    """A population fleet simulation.
 
     Attributes:
         size: number of synthetic patients.

@@ -336,6 +336,10 @@ def _plan_figure(experiment: Experiment) -> _Plan:
     elif isinstance(params, EnergyParams):
         from ..campaign.evaluators import measured_workload
 
+        if "none" not in params.emts:
+            # Fail before any point runs: every overhead is measured
+            # against this baseline.
+            raise ExperimentError("the baseline 'none' must be included")
         workload = measured_workload(
             app_name=params.workload_app,
             record=params.workload_record,

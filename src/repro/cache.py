@@ -260,23 +260,17 @@ class DiskCache:
         times was this computed" audit), ``"hit"`` (a disk-layer read;
         at most one per entry per process — the memory layer absorbs
         repeats), or ``"clear"`` (an eviction of the whole cache).
-        Lines are small single ``write`` appends, so concurrent writers
-        stay line-atomic without a lock.
+        Appends go through :func:`repro.campaign.store.locked_append`,
+        which seals a crashed writer's torn tail before writing.
         """
+        from .campaign.store import locked_append
+
         record: dict[str, Any] = {"event": kind, "pid": os.getpid()}
         if digest is not None:
             record["hash"] = digest
-        line = (json.dumps(record) + "\n").encode("utf-8")
-        self.root.mkdir(parents=True, exist_ok=True)
-        # a+b so the torn-tail check can read the current last byte: if
-        # a previous writer died mid-line, seal the debris with a
-        # newline so this event cannot merge with it (the reader then
-        # tolerates-and-quarantines the isolated torn line).
-        with open(self.events_path, "a+b") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size and os.pread(handle.fileno(), 1, size - 1) != b"\n":
-                handle.write(b"\n")
-            handle.write(line)
+        locked_append(
+            self.events_path, (json.dumps(record) + "\n").encode("utf-8")
+        )
 
     # -- maintenance -------------------------------------------------------
 
@@ -331,30 +325,18 @@ def _read_events(root: Path | str | None) -> list[dict]:
     the log carried an ``event`` key are computations — the only kind
     the log recorded then.
     """
-    from .campaign.store import quarantine_torn_lines
+    from .campaign.store import read_jsonl
 
     events_path = (
         Path(root) if root is not None else default_cache_root()
     ) / "events.jsonl"
-    records: list[dict] = []
-    if not events_path.exists():
-        return records
-    torn: list[str] = []
-    with events_path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                torn.append(line)
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    if torn:
-        quarantine_torn_lines(events_path, torn)
-    return records
+    return [
+        record
+        for record in read_jsonl(
+            events_path, lambda record: isinstance(record, dict)
+        )
+        if record is not None
+    ]
 
 
 def computed_events(root: Path | str | None = None) -> list[str]:

@@ -20,8 +20,8 @@ scalable subsystem:
   Section VI-C trade-off extraction over stored results.
 
 The experiment drivers in :mod:`repro.exp` express their grids as
-campaign specs executed through this runner, and the ``repro sweep`` CLI
-subcommand exposes ad-hoc campaigns from the command line.
+campaign specs executed through this runner, and ``repro run`` executes
+any experiment file (a ``kind = "sweep"`` one included) through it.
 """
 
 from .analysis import (

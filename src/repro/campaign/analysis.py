@@ -226,10 +226,8 @@ def extract_tradeoff(
     :func:`quality_energy_rows`), find the lowest voltage whose SNR stays
     within ``tolerance_db`` of the error-free ceiling *contiguously from
     the top of the sweep* (a lower voltage that recovers by chance does
-    not extend the safe range — the same rule as
-    :meth:`repro.exp.fig4.Fig4Result.min_voltage_meeting`), and the
-    energy saved there versus ``baseline_emt`` at nominal (highest swept)
-    supply.
+    not extend the safe range), and the energy saved there versus
+    ``baseline_emt`` at nominal (highest swept) supply.
 
     Pass the sweep's intended ``voltages`` grid when rows may be
     incomplete (e.g. a sweep that tolerated failed points): the walk
@@ -238,10 +236,10 @@ def extract_tradeoff(
     walk covers the union of voltages present in ``rows``, which cannot
     see a point that failed for every EMT at once.
 
-    This is the stored-records counterpart of
-    :func:`repro.exp.tradeoff.run_tradeoff`; the two implement the same
-    VI-C rules and are pinned together by a cross-implementation test
-    (``tests/exp/test_campaign_paths.py``) — change them in lockstep.
+    This is the one implementation of the VI-C rule: sweep experiments
+    call it on their stored records, and
+    :func:`repro.exp.tradeoff.run_tradeoff` on rows it joins from a
+    Fig 4 result.
     """
     if tolerance_db < 0:
         raise CampaignError("tolerance must be non-negative")

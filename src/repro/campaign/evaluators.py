@@ -102,7 +102,7 @@ def evaluation_hints(**hints: Any) -> Iterator[None]:
     Example: the experiment session wraps an inline cohort campaign in
     ``evaluation_hints(cohort_workers=4)`` so each policy point fans its
     patients across four worker processes — the execution grain the
-    historical ``repro cohort`` CLI used — without touching the point's
+    historical cohort CLI used — without touching the point's
     parameters or stored identity.
     """
     previous = dict(EVALUATION_HINTS)
@@ -358,8 +358,7 @@ def _eval_cohort(params: dict[str, Any]) -> dict[str, Any]:
     the next run); with ``allow_failed_patients`` true the point
     instead degrades gracefully — population statistics cover the
     surviving patients and the summary carries a ``"failures"`` list —
-    which is how the experiment API runs fleets (the historical
-    ``repro cohort`` behaviour).
+    which is how the experiment API runs fleets.
     """
     # Imported lazily: repro.cohort builds on repro.runtime, which
     # prices windows through this module.

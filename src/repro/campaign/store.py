@@ -45,12 +45,20 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 import time
 import zlib
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import Any
 
 from .. import obs
 from ..errors import CampaignError
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None
 
 __all__ = [
     "ResultStore",
@@ -59,6 +67,7 @@ __all__ = [
     "default_store_root",
     "locked_append",
     "quarantine_torn_lines",
+    "read_jsonl",
 ]
 
 #: Environment knob: shard count for *newly created* campaign stores
@@ -66,32 +75,86 @@ __all__ = [
 SHARDS_ENV = "REPRO_STORE_SHARDS"
 
 
+#: Held by every :func:`locked_append`/:func:`read_jsonl` for the whole
+#: open -> flock -> I/O -> close, and by ``fork`` (see below).
+_FILE_LOCK = threading.Lock()
+
+# A child forked while another thread sits inside a locked append would
+# inherit the flock'd descriptor and hold the lock until it exits (a
+# long-lived worker: forever).  Forking therefore waits for in-flight
+# appends and reads to close their descriptors.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_FILE_LOCK.acquire,
+        after_in_parent=_FILE_LOCK.release,
+        after_in_child=_FILE_LOCK.release,
+    )
+
+
+def _flock(handle, exclusive: bool) -> None:
+    """Best-effort ``flock``: non-POSIX platforms have no fcntl, and
+    some network filesystems refuse flock — I/O then stays unlocked."""
+    if fcntl is None:  # pragma: no cover
+        return
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+    except OSError:  # pragma: no cover
+        pass
+
+
 def locked_append(path: Path, payload: bytes) -> None:
     """Append ``payload`` under an exclusive lock, sealing torn tails.
 
-    The crash-consistency primitive shared by the result store and the
-    service job journal: one ``open``/``flock``/``write`` per call, and
-    if the previous writer died mid-line the torn tail is sealed with a
-    newline first so the debris stays an isolated (quarantinable) line
-    instead of merging with the first fresh record.
+    The crash-consistency primitive shared by the result store, the
+    service job journal, the run registry and the cache event log: one
+    ``open``/``flock``/``write`` per call, and if the previous writer
+    died mid-line the torn tail is sealed with a newline first so the
+    debris stays an isolated (quarantinable) line instead of merging
+    with the first fresh record.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     # a+b (read + append) so the torn-tail check can inspect the
     # current last byte through the same locked descriptor.
-    with path.open("a+b") as handle:
-        try:
-            import fcntl
-
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        except (ImportError, OSError):  # pragma: no cover
-            # Best-effort locking: non-POSIX platforms have no fcntl,
-            # and some network filesystems refuse flock — appends stay
-            # as unlocked as they historically were.
-            pass
+    with _FILE_LOCK, path.open("a+b") as handle:
+        _flock(handle, exclusive=True)
         size = os.fstat(handle.fileno()).st_size
         if size and os.pread(handle.fileno(), 1, size - 1) != b"\n":
             handle.write(b"\n")
         handle.write(payload)
+
+
+def read_jsonl(path: Path, valid: Callable[[Any], bool]) -> Iterator[Any]:
+    """Parse a :func:`locked_append` file, one item per non-blank line.
+
+    Yields each line's payload in file order, or ``None`` for a
+    malformed line — one that does not parse, or whose payload fails
+    ``valid``.  Malformed lines are quarantined through
+    :func:`quarantine_torn_lines` once the iteration ends.  The file is
+    read under a shared lock, so an append still in progress is never
+    mistaken for a torn line.  An absent file yields nothing.
+    """
+    try:
+        with _FILE_LOCK, path.open("r", encoding="utf-8") as handle:
+            _flock(handle, exclusive=False)
+            lines = handle.readlines()
+    except FileNotFoundError:
+        return
+    torn: list[str] = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError:
+            payload = None
+        if payload is None or not valid(payload):
+            torn.append(line)
+            payload = None
+        yield payload
+    if torn:
+        quarantine_torn_lines(path, torn)
+
 
 _LOG = logging.getLogger(__name__)
 
@@ -243,22 +306,13 @@ class ResultStore:
             return dict(self._memo[1])
         records: dict[str, dict] = {}
         n_lines = 0
-        torn: list[str] = []
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                n_lines += 1
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    torn.append(line)
-                    continue
-                if isinstance(record, dict) and "hash" in record:
-                    records[record["hash"]] = record
-        if torn:
-            quarantine_torn_lines(self.path, torn)
+        for record in read_jsonl(
+            self.path,
+            lambda record: isinstance(record, dict) and "hash" in record,
+        ):
+            n_lines += 1
+            if record is not None:
+                records[record["hash"]] = record
         self.n_parses += 1
         self._memo = (signature, records, n_lines)
         return dict(records)

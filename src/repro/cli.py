@@ -1,32 +1,25 @@
-"""Command-line interface: one declarative entry point, plus legacy shims.
+"""Command-line interface: one declarative entry point per task.
 
-The primary workflow runs declarative experiment files (TOML or JSON;
-see :mod:`repro.api` and ``docs/api.md``)::
+Every paper artefact and workload runs from a declarative experiment
+file (TOML or JSON; see :mod:`repro.api` and ``docs/api.md``)::
 
+    python -m repro run examples/experiments/fig4_quick.json
     python -m repro run examples/experiments/sweep_quick.toml
     python -m repro validate examples/experiments/*.toml
     python -m repro describe examples/experiments/cohort_pilot.toml
 
-``run`` executes any workload kind — paper figures, Monte-Carlo sweeps,
-adaptive-runtime missions, population cohorts — through the
+``run`` executes any workload kind — paper figures (Fig 2, Fig 4, the
+Section VI-B energy table, the Section VI-C trade-off), Monte-Carlo
+sweeps, adaptive-runtime missions, population cohorts — through the
 :class:`repro.api.Session` facade: the experiment plans into campaign
 grids, points fan out across the chosen execution backend, results land
-in content-hash-keyed stores (re-running resumes), and the same report
-tables the historical subcommands printed are rendered from the result
-handle.  ``validate`` checks a file without running it; ``describe``
-prints the execution plan (campaigns, grid sizes, store targets).
-
-The historical subcommands remain as thin shims that construct the
-equivalent experiment and hand it to the same session (each emits a
-deprecation note on stderr)::
-
-    python -m repro fig2 --apps dwt,morphology
-    python -m repro fig4 --runs 25 --apps dwt --workers 4
-    python -m repro energy
-    python -m repro tradeoff --tolerance 5
-    python -m repro sweep --apps dwt --workers 4
-    python -m repro mission --scenario active_day
-    python -m repro cohort --size 500 --workers 4
+in content-hash-keyed stores (re-running resumes), and the report tables
+are rendered from the result handle.  ``validate`` checks a file without
+running it; ``describe`` prints the execution plan (campaigns, grid
+sizes, store targets).  The per-artefact subcommands of earlier releases
+(``fig2``, ``fig4``, ``energy``, ``tradeoff``, ``sweep``, ``mission``,
+``cohort``) were removed in 1.8.0; ``docs/api.md`` maps each to its
+experiment file.
 
 Utility subcommands (not experiments): ``overheads``, ``record``,
 ``lifetime``, ``cache``, ``report`` (render a run's trace), ``runs``,
@@ -43,7 +36,7 @@ to a finished job's result stores and prints the ordinary report.
 Global options come before the subcommand: ``--seed`` fixes the master
 Monte-Carlo seed of every experiment (overriding the file's ``seed``
 for ``run``), so any artefact is reproducible from the command line
-(``python -m repro --seed 7 fig4 ...``); ``--trace [DIR]`` records a
+(``python -m repro --seed 7 run fig4.toml``); ``--trace [DIR]`` records a
 JSONL trace per run; ``--chaos SPEC`` injects deterministic faults
 into supervised execution (see ``docs/robustness.md``); ``-v``/``-q``
 adjust stderr diagnostics (stdout carries only tables/JSON, so
@@ -60,7 +53,6 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from . import __version__
-from .energy.technology import PAPER_VOLTAGE_GRID
 from .errors import ReproError, RunInterrupted
 from .obs.logcfg import configure as _configure_logging
 from .obs.logcfg import get_logger
@@ -69,31 +61,6 @@ __all__ = ["main", "build_parser"]
 
 #: The CLI's stderr diagnostics logger (configured per main() call).
 _LOG = get_logger("cli")
-
-PAPER_APP_NAMES = (
-    "dwt",
-    "matrix_filter",
-    "compressed_sensing",
-    "morphology",
-    "delineation",
-)
-
-
-def _csv(raw: str) -> tuple[str, ...]:
-    return tuple(item.strip() for item in raw.split(",") if item.strip())
-
-
-def _csv_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(item) for item in _csv(raw))
-
-
-def _deprecation_note(command: str) -> None:
-    """Point legacy-shim users at the unified experiment API."""
-    _LOG.warning(
-        "'repro %s' is a legacy shim over the unified experiment API; "
-        "prefer 'repro run <experiment.toml|json>' (see docs/api.md)",
-        command,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,188 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir", default=None,
         help="result-store directory assumed by the plan",
     )
-
-    # -- legacy experiment shims ------------------------------------------
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--records", type=_csv, default=("100", "106"),
-        help="comma-separated record names (default: 100,106)",
-    )
-    common.add_argument(
-        "--duration", type=float, default=8.0,
-        help="seconds of each record to process (default: 8)",
-    )
-
-    def add_workers(sub_parser, default: int) -> None:
-        # Not part of `common`: parents share action objects, so a
-        # per-subcommand default would leak across all of them.
-        sub_parser.add_argument(
-            "--workers", type=int, default=default,
-            help=f"worker processes for the grid (default: {default})",
-        )
-
-    fig2 = sub.add_parser(
-        "fig2", parents=[common],
-        help="Fig 2: SNR vs bit position of injected stuck-at errors",
-    )
-    fig2.add_argument(
-        "--apps", type=_csv, default=PAPER_APP_NAMES,
-        help="comma-separated application names",
-    )
-    add_workers(fig2, default=1)
-
-    fig4 = sub.add_parser(
-        "fig4", parents=[common],
-        help="Fig 4a/b/c: SNR vs supply voltage per EMT",
-    )
-    fig4.add_argument("--apps", type=_csv, default=PAPER_APP_NAMES)
-    fig4.add_argument(
-        "--runs", type=int, default=12,
-        help="Monte-Carlo runs per grid point (paper: 200)",
-    )
-    fig4.add_argument(
-        "--emts", type=_csv, default=("none", "dream", "secded"),
-        help="EMT registry names to sweep",
-    )
-    add_workers(fig4, default=1)
-
-    sub.add_parser("energy", help="Section VI-B energy/area analysis")
-
-    tradeoff = sub.add_parser(
-        "tradeoff", parents=[common],
-        help="Section VI-C voltage/quality trade-off for one app",
-    )
-    tradeoff.add_argument("--app", default="dwt")
-    tradeoff.add_argument("--runs", type=int, default=12)
-    tradeoff.add_argument(
-        "--tolerance", type=float, default=1.0,
-        help="allowed output degradation in dB (paper: 1)",
-    )
-    add_workers(tradeoff, default=1)
-
-    sweep = sub.add_parser(
-        "sweep", parents=[common],
-        help="parallel voltage x EMT x app campaign with resume, "
-             "Pareto frontier and VI-C extraction",
-    )
-    sweep.add_argument(
-        "--apps", type=_csv, default=("dwt",),
-        help="applications to sweep (default: dwt)",
-    )
-    sweep.add_argument(
-        "--emts", type=_csv, default=("none", "dream", "secded"),
-        help="EMT registry names to sweep",
-    )
-    sweep.add_argument(
-        "--voltages", type=_csv_floats, default=PAPER_VOLTAGE_GRID,
-        help="comma-separated supply voltages (default: the paper grid)",
-    )
-    sweep.add_argument(
-        "--runs", type=int, default=6,
-        help="Monte-Carlo runs per grid point (paper: 200)",
-    )
-    sweep.add_argument(
-        "--tolerance", type=float, default=5.0,
-        help="quality tolerance for the operating-point extraction (dB)",
-    )
-    sweep.add_argument(
-        "--name", default="sweep",
-        help="campaign name; the result store is <store-dir>/<name>-*.jsonl",
-    )
-    sweep.add_argument(
-        "--store-dir", default=None,
-        help="result-store directory (default: benchmarks/results/campaigns "
-             "or $REPRO_CAMPAIGN_DIR)",
-    )
-    sweep.add_argument(
-        "--fresh", action="store_true",
-        help="re-execute every point, superseding stored results",
-    )
-    add_workers(sweep, default=2)
-
-    mission = sub.add_parser(
-        "mission",
-        help="closed-loop adaptive-runtime mission: compare operating-"
-             "point policies on one scenario (lifetime, quality, switches)",
-    )
-    mission.add_argument(
-        "--scenario", default="active_day",
-        help="scenario registry name (see repro.runtime.scenarios; "
-             "default: active_day)",
-    )
-    mission.add_argument(
-        "--policies",
-        type=_csv,
-        default=("static-ladder", "quality", "soc", "hysteresis"),
-        help="comma-separated policy tokens: registry names "
-             "('quality', 'soc', 'hysteresis'), 'static:EMT@V' for one "
-             "pinned rung, or 'static-ladder' for one static policy per "
-             "lattice rung (default: static-ladder plus every adaptive "
-             "policy)",
-    )
-    mission.add_argument(
-        "--duration-scale", type=float, default=1.0,
-        help="scale every segment duration AND the battery capacity "
-             "(e.g. 0.1 for a quick look; reported lifetimes shrink by "
-             "the same factor, policy orderings are preserved)",
-    )
-    mission.add_argument(
-        "--window", type=float, default=None,
-        help="override the scenario's processing window (seconds)",
-    )
-    mission.add_argument(
-        "--probe-runs", type=int, default=3,
-        help="fault-injection probes per calibrated quality model",
-    )
-    mission.add_argument(
-        "--probe-duration", type=float, default=4.0,
-        help="seconds of segment signal per calibration probe",
-    )
-
-    cohort = sub.add_parser(
-        "cohort",
-        help="population fleet simulation: survival curves, quality "
-             "bands and tail-statistic Pareto frontier per policy",
-    )
-    cohort.add_argument(
-        "--size", type=int, default=200,
-        help="number of synthetic patients (default: 200)",
-    )
-    cohort.add_argument(
-        "--policies", type=_csv, default=("static", "soc", "hysteresis"),
-        help="comma-separated policy tokens (registry names or "
-             "'static:EMT@V'; default: static,soc,hysteresis)",
-    )
-    cohort.add_argument(
-        "--scenarios", default="active_day:0.7,overnight:0.3",
-        help="scenario mix as name:weight pairs "
-             "(default: active_day:0.7,overnight:0.3)",
-    )
-    cohort.add_argument(
-        "--pathology", default=None,
-        help="record mix as name:weight pairs (default: the "
-             "PatientModel mix; e.g. '100:0.6,119:0.4' for a PVC-heavy "
-             "ward)",
-    )
-    cohort.add_argument(
-        "--duration-scale", type=float, default=1.0,
-        help="scale each patient's timeline AND battery (e.g. 0.02 for "
-             "a quick look; policy orderings are preserved)",
-    )
-    cohort.add_argument(
-        "--name", default="cohort",
-        help="cohort name (labels the fleet; default: cohort)",
-    )
-    cohort.add_argument(
-        "--probe-runs", type=int, default=3,
-        help="fault-injection probes per calibrated quality model",
-    )
-    cohort.add_argument(
-        "--probe-duration", type=float, default=4.0,
-        help="seconds of segment signal per calibration probe",
-    )
-    add_workers(cohort, default=2)
 
     cache = sub.add_parser(
         "cache",
@@ -700,142 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------------
-# Experiment construction (shims -> the unified API)
-# --------------------------------------------------------------------------
-
-
-def _seed_of(args) -> int | None:
-    return getattr(args, "seed", None)
-
-
-def fig2_experiment(args):
-    """The :class:`~repro.api.Experiment` equivalent of ``repro fig2``."""
-    from .api.schema import Experiment, Fig2Params
-
-    return Experiment(
-        name="fig2",
-        kind="figure",
-        params=Fig2Params(
-            apps=args.apps, records=args.records, duration_s=args.duration
-        ),
-        seed=_seed_of(args),
-        workers=args.workers,
-    )
-
-
-def fig4_experiment(args):
-    """The :class:`~repro.api.Experiment` equivalent of ``repro fig4``."""
-    from .api.schema import Experiment, Fig4Params
-
-    return Experiment(
-        name="fig4",
-        kind="figure",
-        params=Fig4Params(
-            apps=args.apps,
-            emts=args.emts,
-            records=args.records,
-            duration_s=args.duration,
-            runs=args.runs,
-        ),
-        seed=_seed_of(args),
-        workers=args.workers,
-    )
-
-
-def energy_experiment(args):
-    """The :class:`~repro.api.Experiment` equivalent of ``repro energy``."""
-    from .api.schema import EnergyParams, Experiment
-
-    return Experiment(
-        name="energy", kind="figure", params=EnergyParams(),
-        seed=_seed_of(args),
-    )
-
-
-def tradeoff_experiment(args):
-    """The :class:`~repro.api.Experiment` equivalent of ``repro tradeoff``."""
-    from .api.schema import Experiment, TradeoffParams
-
-    return Experiment(
-        name="tradeoff",
-        kind="figure",
-        params=TradeoffParams(
-            app=args.app,
-            records=args.records,
-            duration_s=args.duration,
-            runs=args.runs,
-            tolerance_db=args.tolerance,
-        ),
-        seed=_seed_of(args),
-        workers=args.workers,
-    )
-
-
-def sweep_experiment(args):
-    """The :class:`~repro.api.Experiment` equivalent of ``repro sweep``."""
-    from .api.schema import Experiment, SweepParams
-
-    return Experiment(
-        name=args.name,
-        kind="sweep",
-        params=SweepParams(
-            apps=args.apps,
-            emts=args.emts,
-            voltages=args.voltages,
-            records=args.records,
-            duration_s=args.duration,
-            runs=args.runs,
-            tolerance_db=args.tolerance,
-        ),
-        seed=_seed_of(args),
-        workers=args.workers,
-        store=args.name,
-    )
-
-
-def mission_experiment(args):
-    """The :class:`~repro.api.Experiment` equivalent of ``repro mission``."""
-    from .api.schema import Experiment, MissionParams
-
-    return Experiment(
-        name=f"mission-{args.scenario}",
-        kind="mission",
-        params=MissionParams(
-            scenario=args.scenario,
-            policies=tuple(args.policies),
-            duration_scale=args.duration_scale,
-            window_s=args.window,
-            probe_runs=args.probe_runs,
-            probe_duration_s=args.probe_duration,
-        ),
-        seed=_seed_of(args),
-    )
-
-
-def cohort_experiment(args):
-    """The :class:`~repro.api.Experiment` equivalent of ``repro cohort``."""
-    from .api.schema import CohortParams, Experiment
-    from .api.serde import parse_mix
-
-    return Experiment(
-        name=args.name,
-        kind="cohort",
-        params=CohortParams(
-            size=args.size,
-            policies=tuple(args.policies),
-            scenarios=parse_mix(args.scenarios),
-            pathology=parse_mix(args.pathology) if args.pathology else None,
-            duration_scale=args.duration_scale,
-            probe_runs=args.probe_runs,
-            probe_duration_s=args.probe_duration,
-        ),
-        seed=_seed_of(args),
-        workers=args.workers,
-    )
-
-
-# --------------------------------------------------------------------------
-# Shared report rendering (repro run and the shims print identically)
+# Report rendering (shared by run and fetch)
 # --------------------------------------------------------------------------
 
 
@@ -856,7 +506,7 @@ def _print_point_failures(handle) -> int:
 
 
 def _print_figure_report(experiment, handle, workers: int) -> int:
-    """Render a figure experiment with the historical table formatters."""
+    """Render a figure experiment with the paper-table formatters."""
     from .api.schema import EnergyParams, Fig2Params, Fig4Params
     from .exp.report import (
         format_energy_analysis,
@@ -888,7 +538,7 @@ def _print_figure_report(experiment, handle, workers: int) -> int:
 
 
 def _print_sweep_report(experiment, handle, workers: int) -> int:
-    """Render a sweep exactly as ``repro sweep`` always reported it."""
+    """Render a sweep: store counts, frontier, operating points."""
     from .exp.report import (
         format_frontier,
         format_operating_points,
@@ -1005,9 +655,8 @@ def _print_cohort_report(experiment, handle, workers: int) -> int:
     """Render the population tables: fleet, survival, tail frontier.
 
     Failed *patients* degrade gracefully (the statistics cover the
-    survivors, each failure is reported, exit is non-zero) — the
-    historical ``repro cohort`` contract; failed *points* (a whole
-    policy's fleet) are reported alongside.
+    survivors, each failure is reported, exit is non-zero); failed
+    *points* (a whole policy's fleet) are reported alongside.
     """
     from .api.serde import policy_label
     from .exp.report import format_fleet, format_survival
@@ -1153,54 +802,6 @@ def _cmd_describe(args) -> int:
         experiment = experiment.with_seed(args.seed)
     print(session.describe(experiment))
     return 0
-
-
-# --------------------------------------------------------------------------
-# Legacy shims (construct an Experiment, call the Session)
-# --------------------------------------------------------------------------
-
-
-def _shim(args, command: str, experiment, **session_kwargs) -> int:
-    from .api.session import Session
-
-    _deprecation_note(command)
-    session = Session(workers=getattr(args, "workers", None),
-                      **session_kwargs)
-    return _execute_and_report(experiment, session)
-
-
-def _cmd_fig2(args) -> int:
-    return _shim(args, "fig2", fig2_experiment(args))
-
-
-def _cmd_fig4(args) -> int:
-    return _shim(args, "fig4", fig4_experiment(args))
-
-
-def _cmd_energy(args) -> int:
-    return _shim(args, "energy", energy_experiment(args))
-
-
-def _cmd_tradeoff(args) -> int:
-    return _shim(args, "tradeoff", tradeoff_experiment(args))
-
-
-def _cmd_sweep(args) -> int:
-    return _shim(
-        args, "sweep", sweep_experiment(args),
-        store_dir=args.store_dir, fresh=args.fresh,
-        progress=_stderr_progress,
-    )
-
-
-def _cmd_mission(args) -> int:
-    return _shim(args, "mission", mission_experiment(args))
-
-
-def _cmd_cohort(args) -> int:
-    return _shim(
-        args, "cohort", cohort_experiment(args), progress=_stderr_progress
-    )
 
 
 # --------------------------------------------------------------------------
@@ -1739,16 +1340,9 @@ _HANDLERS = {
     "run": _cmd_run,
     "validate": _cmd_validate,
     "describe": _cmd_describe,
-    "fig2": _cmd_fig2,
-    "fig4": _cmd_fig4,
-    "energy": _cmd_energy,
-    "tradeoff": _cmd_tradeoff,
     "overheads": _cmd_overheads,
     "record": _cmd_record,
     "lifetime": _cmd_lifetime,
-    "sweep": _cmd_sweep,
-    "mission": _cmd_mission,
-    "cohort": _cmd_cohort,
     "cache": _cmd_cache,
     "report": _cmd_report,
     "runs": _cmd_runs,

@@ -20,9 +20,9 @@ reliability statistics.
 
 Campaign integration: the ``cohort`` evaluator kind
 (:mod:`repro.campaign.evaluators`) runs policy x cohort grids through
-the parallel runner/store/resume machinery; ``python -m repro cohort``
-is the CLI front-end and ``benchmarks/bench_cohort.py`` the throughput
-benchmark.
+the parallel runner/store/resume machinery; a ``kind = "cohort"``
+experiment file is the CLI front-end (``repro run``) and
+``benchmarks/bench_cohort.py`` the throughput benchmark.
 """
 
 from .analytics import (

@@ -15,17 +15,21 @@ per-experiment index):
 * :mod:`repro.exp.report` — ASCII renderers for all of the above;
 * :mod:`repro.exp.common` — the shared Monte-Carlo machinery.
 
-The grid-shaped drivers (Fig 2, Fig 4, energy, trade-off) express their
-grids as :class:`repro.campaign.CampaignSpec` objects executed through
-the shared campaign runner — ``fig2_spec``/``fig4_spec``/``energy_spec``
-build the specs, and every ``run_*`` driver accepts ``n_workers`` and an
-optional result ``store`` for parallel, resumable sweeps.
+Each figure has one execution path: ``fig2_spec``/``fig4_spec``/
+``energy_spec`` build its grid as a :class:`repro.campaign.CampaignSpec`,
+:class:`repro.api.Session` runs a ``kind = "figure"`` experiment through
+the shared campaign runner (parallel, resumable), and the
+``*_from_records`` reducers turn the records into :class:`Fig2Result`/
+:class:`Fig4Result`/:class:`EnergyAnalysis`; the trade-off reducer
+hands the Fig 4 result to :func:`run_tradeoff`.  :func:`run_fig2` stays
+as the trial-batched in-process Fig 2, a separate and faster
+implementation of the same numbers.
 """
 
 from .common import ExperimentConfig, MonteCarloResult
-from .energy_table import EnergyAnalysis, energy_spec, run_energy_analysis
+from .energy_table import EnergyAnalysis, energy_spec
 from .fig2 import Fig2Result, fig2_spec, run_fig2
-from .fig4 import Fig4Result, fig4_spec, run_fig4
+from .fig4 import Fig4Result, fig4_spec
 from .overheads import OverheadRow, overhead_table
 from .tradeoff import TradeoffResult, run_tradeoff
 
@@ -37,10 +41,8 @@ __all__ = [
     "run_fig2",
     "Fig4Result",
     "fig4_spec",
-    "run_fig4",
     "EnergyAnalysis",
     "energy_spec",
-    "run_energy_analysis",
     "TradeoffResult",
     "run_tradeoff",
     "OverheadRow",

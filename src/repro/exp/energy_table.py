@@ -14,10 +14,10 @@ counters from executing an app on a record give the read/write volumes,
 and the active-processing time comes from the MPSoC cycle model.
 
 The (EMT, voltage) grid is expressed as a campaign spec
-(:func:`energy_spec`) executed through
-:func:`repro.campaign.run_campaign`, which also lets the trade-off
-driver and the ``repro sweep`` CLI reuse (and cache) the same energy
-evaluations.
+(:func:`energy_spec`); a ``figure = "energy"`` experiment runs it
+through :class:`repro.api.Session` and
+:func:`energy_analysis_from_records` reduces the records.  The
+trade-off driver prices its operating points with the same evaluator.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ from ..campaign.evaluators import (
     technology_to_dict,
     workload_to_dict,
 )
-from ..campaign.runner import run_campaign
 from ..campaign.spec import CampaignSpec
-from ..campaign.store import ResultStore
 from ..emt import make_emt
 from ..energy.accounting import EnergySystemModel, Workload
-from ..energy.technology import PAPER_VOLTAGE_GRID, TECH_32NM_LP, Technology
+from ..energy.technology import TECH_32NM_LP, Technology
 from ..errors import EnergyModelError, ExperimentError
 from ..soc.config import SoCConfig
 from .common import validate_registry_names
@@ -46,7 +44,6 @@ __all__ = [
     "energy_analysis_from_records",
     "energy_spec",
     "measure_workload",
-    "run_energy_analysis",
 ]
 
 
@@ -130,53 +127,6 @@ def energy_spec(
     )
 
 
-def run_energy_analysis(
-    emt_names: tuple[str, ...] = ("none", "dream", "secded"),
-    voltages: tuple[float, ...] = PAPER_VOLTAGE_GRID,
-    workload: Workload | None = None,
-    tech: Technology = TECH_32NM_LP,
-    mask_memory_scaled: bool = True,
-    n_workers: int = 1,
-    store: ResultStore | None = None,
-) -> EnergyAnalysis:
-    """Evaluate the VI-B overhead/area comparison.
-
-    Args:
-        emt_names: techniques to compare; must include ``"none"`` (the
-            baseline) and, for the area ratios, ``"dream"``/``"secded"``.
-        voltages: supply grid.
-        workload: memory activity; defaults to a measured DWT run.
-        tech: technology node.
-        mask_memory_scaled: design-decision D3 knob (see
-            :mod:`repro.energy.accounting`).
-        n_workers: worker processes for the campaign grid.
-        store: optional campaign result store (resume/caching).
-    """
-    if "none" not in emt_names:
-        raise ExperimentError("the baseline 'none' must be included")
-    validate_registry_names(emt_names=emt_names)
-    workload = workload or measure_workload()
-
-    analysis = EnergyAnalysis(voltages=sorted(voltages), workload=workload)
-    for name in emt_names:
-        analysis.total_pj[name] = {}
-        analysis.overhead[name] = {}
-    if not voltages:
-        # Degenerate grid: historically an empty sweep (area ratios
-        # below are still computed), not an error.
-        return _with_area_ratios(analysis, emt_names, tech, mask_memory_scaled)
-
-    spec = energy_spec(
-        emt_names, voltages, workload, tech, mask_memory_scaled
-    )
-    campaign = run_campaign(spec, store=store, n_workers=n_workers)
-    campaign.raise_on_failure()
-    return energy_analysis_from_records(
-        campaign.records, emt_names, voltages, workload, tech,
-        mask_memory_scaled,
-    )
-
-
 def energy_analysis_from_records(
     records: list[dict],
     emt_names: tuple[str, ...],
@@ -189,9 +139,7 @@ def energy_analysis_from_records(
 
     ``records`` are campaign records of an :func:`energy_spec` grid —
     live from :func:`repro.campaign.run_campaign` or reloaded from a
-    result store.  The experiment API's figure reducer shares this path
-    with :func:`run_energy_analysis`, so both produce identical analyses
-    from the same stored points.
+    result store.  This is the experiment API's energy reducer.
     """
     analysis = EnergyAnalysis(voltages=sorted(voltages), workload=workload)
     for name in emt_names:

@@ -16,13 +16,12 @@ DREAM's asymmetric MSB protection:
   element depends on a full row and column of inputs.
 
 The (app, stuck value, bit position) grid is expressed as a campaign
-spec (:func:`fig2_spec`) executed through
-:func:`repro.campaign.run_campaign`, so the 160-point paper grid
+spec (:func:`fig2_spec`); a ``figure = "fig2"`` experiment runs it
+through :class:`repro.api.Session`, so the 160-point paper grid
 parallelises across workers and resumes from a result store.
 
-When no store or extra workers are requested, the sweep instead runs
-through the trial-batched pipeline: all 32 (stuck value, bit position)
-configurations of one application stack into a single
+:func:`run_fig2` is the in-process alternative: all 32 (stuck value,
+bit position) configurations of one application stack into a single
 :func:`~repro.mem.faults.position_fault_map_batch` and flow through the
 memory fabric as one ``(32, n_words)`` batch per record — the same
 numbers (the sweep is deterministic), an order of magnitude less Python
@@ -35,11 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..apps.base import BiomedicalApp
 from ..campaign.evaluators import geometry_to_dict
-from ..campaign.runner import run_campaign
 from ..campaign.spec import CampaignSpec
-from ..campaign.store import ResultStore
 from ..emt.base import NoProtection
 from ..errors import ExperimentError
 from ..mem.fabric import MemoryFabric
@@ -116,48 +112,66 @@ def run_fig2(
         "delineation",
     ),
     config: ExperimentConfig | None = None,
-    apps: dict[str, BiomedicalApp] | None = None,
-    n_workers: int = 1,
-    store: ResultStore | None = None,
 ) -> Fig2Result:
-    """Run the Fig 2 bit-significance sweep.
+    """Run the Fig 2 bit-significance sweep in-process, trial-batched.
+
+    All 32 (stuck value, bit position) fault configurations of one
+    application stack into a single batched fault map, so each record
+    makes exactly one pipeline pass instead of 32.  Configuration order
+    matches the :func:`fig2_spec` grid (stuck value outer, position
+    inner), and the per-configuration corpus mean reduces the same
+    per-record SNRs — the curves equal a ``figure = "fig2"`` experiment
+    run through :class:`repro.api.Session`, which is the path to use for
+    parallel or resumable sweeps.
 
     Args:
         app_names: applications to characterise (default: the paper's
             five case studies).
         config: experiment knobs; Fig 2 is deterministic (no Monte
             Carlo), so only ``records`` and ``duration_s`` matter.
-        apps: optional pre-built application instances (overrides
-            ``app_names``); passing them runs the sweep inline, since
-            instances cannot cross process boundaries.
-        n_workers: worker processes for the campaign grid.
-        store: optional campaign result store (resume/caching).
 
     Returns:
         A :class:`Fig2Result` with one SNR series per (app, stuck value).
     """
     config = config or ExperimentConfig()
-    if apps is not None:
-        return _run_fig2_inline(config, apps)
-    if not app_names:
-        # Degenerate grid: historically an empty result, not an error.
-        return Fig2Result(config=config)
-    if store is None and n_workers == 1:
-        # No resume/parallelism requested: take the trial-batched fast
-        # path (identical numbers — the sweep is deterministic).  Shared
-        # per-process instances keep the clean reference outputs warm
-        # across invocations.
-        validate_registry_names(app_names=app_names)
-        from ..apps.registry import cached_app
+    validate_registry_names(app_names=app_names)
+    # Shared per-process instances keep the clean reference outputs
+    # warm across invocations.
+    from ..apps.registry import cached_app
 
-        return _run_fig2_inline(
-            config, {name: cached_app(name) for name in app_names}
-        )
-
-    spec = fig2_spec(app_names, config)
-    campaign = run_campaign(spec, store=store, n_workers=n_workers)
-    campaign.raise_on_failure()
-    return fig2_result_from_records(campaign.records, app_names, config)
+    corpus = load_corpus(config)
+    configurations = [
+        (position, stuck_value)
+        for stuck_value in (0, 1)
+        for position in range(_DATA_BITS)
+    ]
+    fault_map = position_fault_map_batch(
+        config.geometry.n_words, _DATA_BITS, configurations
+    )
+    result = Fig2Result(config=config)
+    for name in app_names:
+        app = cached_app(name)
+        per_record = []
+        for samples in corpus.values():
+            fabric = MemoryFabric(
+                NoProtection(),
+                fault_map=fault_map,
+                geometry=config.geometry,
+                collect_decode_stats=False,
+            )
+            outputs = app.run_batch(samples, fabric)
+            per_record.append(
+                app.output_snr_batch(
+                    samples, outputs, cap_db=config.snr_cap_db
+                )
+            )
+        # (n_records, 32) -> per-configuration corpus mean.
+        means = np.mean(np.stack(per_record, axis=0), axis=0)
+        result.snr_db[name] = {
+            0: [float(v) for v in means[:_DATA_BITS]],
+            1: [float(v) for v in means[_DATA_BITS:]],
+        }
+    return result
 
 
 def fig2_result_from_records(
@@ -169,9 +183,7 @@ def fig2_result_from_records(
 
     ``records`` are campaign records of a :func:`fig2_spec` grid — live
     from :func:`repro.campaign.run_campaign` or reloaded from a result
-    store.  The experiment API's figure reducer shares this path with
-    :func:`run_fig2`, so both produce identical results from the same
-    stored points.
+    store.  This is the experiment API's Fig 2 reducer.
     """
     by_point = {
         (
@@ -196,50 +208,4 @@ def fig2_result_from_records(
         raise ExperimentError(
             f"fig2 records are missing grid point {exc.args[0]!r}"
         ) from exc
-    return result
-
-
-def _run_fig2_inline(
-    config: ExperimentConfig, apps: dict[str, BiomedicalApp]
-) -> Fig2Result:
-    """In-process trial-batched sweep.
-
-    All 32 (stuck value, bit position) fault configurations of one
-    application stack into a single batched fault map, so each record
-    makes exactly one pipeline pass instead of 32.  Configuration order
-    matches the historical nested loop (stuck value outer, position
-    inner), and the per-configuration corpus mean reduces the same
-    per-record SNRs — the resulting curves are identical.
-    """
-    corpus = load_corpus(config)
-    configurations = [
-        (position, stuck_value)
-        for stuck_value in (0, 1)
-        for position in range(_DATA_BITS)
-    ]
-    fault_map = position_fault_map_batch(
-        config.geometry.n_words, _DATA_BITS, configurations
-    )
-    result = Fig2Result(config=config)
-    for name, app in apps.items():
-        per_record = []
-        for samples in corpus.values():
-            fabric = MemoryFabric(
-                NoProtection(),
-                fault_map=fault_map,
-                geometry=config.geometry,
-                collect_decode_stats=False,
-            )
-            outputs = app.run_batch(samples, fabric)
-            per_record.append(
-                app.output_snr_batch(
-                    samples, outputs, cap_db=config.snr_cap_db
-                )
-            )
-        # (n_records, 32) -> per-configuration corpus mean.
-        means = np.mean(np.stack(per_record, axis=0), axis=0)
-        result.snr_db[name] = {
-            0: [float(v) for v in means[:_DATA_BITS]],
-            1: [float(v) for v in means[_DATA_BITS:]],
-        }
     return result

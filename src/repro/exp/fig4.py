@@ -18,39 +18,26 @@ and average the output SNR in dB over the runs.  The published shape:
   keeps reconstructing the significant MSBs, so the curves cross.
 
 The (app, voltage) grid is expressed as a campaign spec
-(:func:`fig4_spec`) executed through :func:`repro.campaign.run_campaign`,
-so sweeps parallelise across workers and resume from a result store; the
-campaign's deterministic per-point seeding keeps the numbers identical to
-the historical serial driver.
+(:func:`fig4_spec`); a ``figure = "fig4"`` experiment runs it through
+:class:`repro.api.Session`, so sweeps parallelise across workers and
+resume from a result store, and :func:`fig4_result_from_records` reduces
+the records to a :class:`Fig4Result`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..apps.base import BiomedicalApp
-from ..apps.registry import make_app
-from ..campaign.evaluators import geometry_to_dict, grid_seed, technology_to_dict
-from ..campaign.runner import run_campaign
+from ..campaign.evaluators import geometry_to_dict, technology_to_dict
 from ..campaign.spec import CampaignSpec
-from ..campaign.store import ResultStore
-from ..emt import make_emt
-from ..emt.base import EMT
 from ..energy.technology import PAPER_VOLTAGE_GRID, TECH_32NM_LP, Technology
 from ..errors import ExperimentError
-from .common import (
-    ExperimentConfig,
-    MonteCarloResult,
-    load_corpus,
-    run_monte_carlo,
-    validate_registry_names,
-)
+from .common import ExperimentConfig, MonteCarloResult, validate_registry_names
 
 __all__ = [
     "Fig4Result",
     "fig4_result_from_records",
     "fig4_spec",
-    "run_fig4",
 ]
 
 
@@ -73,25 +60,6 @@ class Fig4Result:
         return [
             per_voltage[v].snr_mean_db[emt_name] for v in self.voltages
         ]
-
-    def min_voltage_meeting(
-        self, app_name: str, emt_name: str, min_snr_db: float
-    ) -> float | None:
-        """Lowest swept voltage whose mean SNR still meets ``min_snr_db``.
-
-        The quantity Section VI-C's policy construction needs.  Voltages
-        are checked from the top of the sweep downward and must meet the
-        requirement *contiguously* (a lower voltage that recovers by
-        chance does not extend the safe range).
-        """
-        best: float | None = None
-        for voltage in sorted(self.voltages, reverse=True):
-            snr = self.points[app_name][voltage].snr_mean_db[emt_name]
-            if snr >= min_snr_db:
-                best = voltage
-            else:
-                break
-        return best
 
 
 def fig4_spec(
@@ -129,59 +97,6 @@ def fig4_spec(
     )
 
 
-def run_fig4(
-    app_names: tuple[str, ...] = (
-        "dwt",
-        "matrix_filter",
-        "compressed_sensing",
-        "morphology",
-        "delineation",
-    ),
-    emt_names: tuple[str, ...] = ("none", "dream", "secded"),
-    voltages: tuple[float, ...] = PAPER_VOLTAGE_GRID,
-    config: ExperimentConfig | None = None,
-    tech: Technology = TECH_32NM_LP,
-    apps: dict[str, BiomedicalApp] | None = None,
-    emts: dict[str, EMT] | None = None,
-    n_workers: int = 1,
-    store: ResultStore | None = None,
-) -> Fig4Result:
-    """Run the Fig 4 voltage sweep.
-
-    Args:
-        app_names: applications to sweep (the paper's five by default).
-        emt_names: EMT registry names — (a), (b), (c) of Fig 4.
-        voltages: supply grid; defaults to the paper's 0.50..0.90 V.
-        config: Monte-Carlo knobs (``n_runs=200`` reproduces the paper).
-        tech: technology supplying the BER(V) profile.
-        apps / emts: optional pre-built instances; passing either runs
-            the sweep inline (instances cannot cross process boundaries).
-        n_workers: worker processes for the campaign grid.
-        store: optional campaign result store (resume/caching).
-
-    Returns:
-        A :class:`Fig4Result` with per-(app, voltage, EMT) statistics.
-    """
-    config = config or ExperimentConfig()
-    if apps is not None or emts is not None:
-        return _run_fig4_inline(
-            app_names, emt_names, voltages, config, tech, apps, emts
-        )
-    if not app_names or not voltages:
-        # Degenerate grid: the historical drivers returned an empty
-        # result rather than rejecting it.
-        result = Fig4Result(voltages=sorted(voltages), config=config)
-        result.points = {name: {} for name in app_names}
-        return result
-
-    spec = fig4_spec(app_names, emt_names, voltages, config, tech)
-    campaign = run_campaign(spec, store=store, n_workers=n_workers)
-    campaign.raise_on_failure()
-    return fig4_result_from_records(
-        campaign.records, app_names, voltages, config
-    )
-
-
 def fig4_result_from_records(
     records: list[dict],
     app_names: tuple[str, ...],
@@ -192,9 +107,7 @@ def fig4_result_from_records(
 
     ``records`` are campaign records of a :func:`fig4_spec` grid — live
     from :func:`repro.campaign.run_campaign` or reloaded from a result
-    store.  The experiment API's figure reducer shares this path with
-    :func:`run_fig4`, so both produce identical results from the same
-    stored points.
+    store.  This is the experiment API's Fig 4 (and trade-off) reducer.
     """
     by_point = {
         (rec["params"]["app"], rec["params"]["voltage"]): rec["result"]
@@ -215,38 +128,6 @@ def fig4_result_from_records(
                 snr_mean_db=dict(payload["snr_mean_db"]),
                 snr_std_db=dict(payload["snr_std_db"]),
                 n_runs=payload["n_runs"],
-            )
-        result.points[app_name] = per_voltage
-    return result
-
-
-def _run_fig4_inline(
-    app_names: tuple[str, ...],
-    emt_names: tuple[str, ...],
-    voltages: tuple[float, ...],
-    config: ExperimentConfig,
-    tech: Technology,
-    apps: dict[str, BiomedicalApp] | None,
-    emts: dict[str, EMT] | None,
-) -> Fig4Result:
-    """In-process sweep for caller-supplied app/EMT instances."""
-    corpus = load_corpus(config)
-    if apps is None:
-        apps = {name: make_app(name) for name in app_names}
-    if emts is None:
-        emts = {name: make_emt(name) for name in emt_names}
-
-    result = Fig4Result(voltages=sorted(voltages), config=config)
-    for app_name, app in apps.items():
-        per_voltage: dict[float, MonteCarloResult] = {}
-        for voltage in result.voltages:
-            per_voltage[voltage] = run_monte_carlo(
-                app,
-                emts,
-                tech.ber(voltage),
-                config,
-                corpus,
-                grid_seed(app_name, voltage),
             )
         result.points[app_name] = per_voltage
     return result

@@ -164,7 +164,7 @@ def format_paper_example(points) -> str:
 
 
 def format_frontier(app_name: str, rows: list[dict]) -> str:
-    """A ``repro sweep`` Pareto frontier: one joined row per line.
+    """A sweep experiment's Pareto frontier: one joined row per line.
 
     ``rows`` are :func:`repro.campaign.analysis.quality_energy_rows`
     dicts that survived the frontier extraction.
@@ -188,7 +188,7 @@ def format_frontier(app_name: str, rows: list[dict]) -> str:
 def format_operating_points(
     app_name: str, points, tolerance_db: float
 ) -> str:
-    """A ``repro sweep`` trade-off extraction (Section VI-C form).
+    """A sweep experiment's trade-off extraction (Section VI-C form).
 
     ``points`` are :class:`repro.campaign.analysis.OperatingPoint`
     objects (or anything with the same fields).
@@ -205,7 +205,7 @@ def format_operating_points(
 
 
 def format_mission(mission_name: str, results) -> str:
-    """A ``repro mission`` policy comparison: one row per policy.
+    """A mission experiment's policy comparison: one row per policy.
 
     ``results`` are :class:`repro.runtime.MissionResult` objects (or
     anything with the same fields), typically one per policy over the
@@ -257,7 +257,7 @@ def format_overheads(rows: list[OverheadRow]) -> str:
 
 
 def format_fleet(cohort_name: str, summaries) -> str:
-    """A ``repro cohort`` policy comparison: one row per fleet summary.
+    """A cohort experiment's policy comparison: one row per fleet summary.
 
     ``summaries`` are :meth:`repro.cohort.FleetResult.summary` dicts
     (population tail statistics), typically one per policy over the

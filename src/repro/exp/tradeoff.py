@@ -14,17 +14,20 @@ yielding a three-range hybrid policy ("triggering, selectively, one or
 the other, according to the memory supply voltage"); below 0.55 V only
 multi-error EMTs could maintain a reliable medical output.
 
-The energy evaluations are expressed as filtered (EMT, voltage) campaign
-grids through :func:`repro.exp.energy_table.energy_spec`, executed by the
-shared campaign runner — the same evaluator the energy-table driver and
-the ``repro sweep`` CLI use, so all three price an operating point
-identically.
+The energy evaluations are expressed as (EMT, voltage) campaign grids
+through :func:`repro.exp.energy_table.energy_spec`, executed by the
+shared campaign runner — the same evaluator energy-table and sweep
+experiments use, so all of them price an operating point identically.
+The operating points themselves come from
+:func:`repro.campaign.analysis.extract_tradeoff`, the one
+implementation of the VI-C rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..campaign.analysis import extract_tradeoff
 from ..campaign.runner import run_campaign
 from ..emt.hybrid import VoltageRange
 from ..energy.accounting import Workload
@@ -122,10 +125,10 @@ def run_tradeoff(
         A :class:`TradeoffResult` with per-EMT operating points and the
         stitched hybrid voltage policy.
 
-    :func:`repro.campaign.analysis.extract_tradeoff` implements the same
-    rules over stored campaign records (for ``repro sweep``); a
-    cross-implementation test pins the two together — change them in
-    lockstep.
+    The VI-C rule itself — the lowest voltage whose SNR stays within
+    the tolerance, walking down from the top of the sweep without a
+    gap — is :func:`repro.campaign.analysis.extract_tradeoff`; this
+    driver joins the Fig 4 quality with the energy grid into its rows.
     """
     if app_name not in fig4.points:
         raise ExperimentError(f"fig4 result has no app {app_name!r}")
@@ -133,56 +136,54 @@ def run_tradeoff(
         raise ExperimentError("tolerance must be non-negative")
     workload = workload or measure_workload(app_name)
 
-    v_nominal = max(fig4.voltages)
-    # The quality requirement: within `tolerance_db` of the error-free
-    # ceiling, read off the highest-voltage point of the sweep.
-    ceilings = [
-        fig4.points[app_name][v_nominal].snr_mean_db[name]
-        for name in emt_names
-    ]
-    reference_snr = max(ceilings)
-    min_snr = reference_snr - tolerance_db
-
-    v_safes = {
-        name: fig4.min_voltage_meeting(app_name, name, min_snr)
-        for name in emt_names
-    }
-    wanted = {
-        (name, v_safe) for name, v_safe in v_safes.items()
-        if v_safe is not None
-    }
-    wanted.add(("none", v_nominal))
     grid_emts = emt_names if "none" in emt_names else ("none", *emt_names)
     energy = _energy_grid(
-        grid_emts,
-        tuple(fig4.voltages),
-        workload,
-        tech,
+        grid_emts, tuple(fig4.voltages), workload, tech,
         name=f"tradeoff-{app_name}",
-        filters=(
-            lambda coords: (coords["emt"], coords["voltage"]) in wanted,
-        ),
     )
-    baseline_energy = energy[("none", v_nominal)]
+    quality = fig4.points[app_name]
+    rows = [
+        {
+            "emt": name,
+            "voltage": voltage,
+            "snr_db": quality[voltage].snr_mean_db[name],
+            "energy_pj": energy[(name, voltage)],
+        }
+        for name in emt_names
+        for voltage in fig4.voltages
+    ]
+    v_nominal = max(fig4.voltages)
+    if "none" not in emt_names:
+        # The savings baseline is priced even when it is not a
+        # candidate; its -inf SNR keeps it out of the ceiling and policy.
+        rows.append({
+            "emt": "none", "voltage": v_nominal, "snr_db": float("-inf"),
+            "energy_pj": energy[("none", v_nominal)],
+        })
+    safe = {
+        point.emt_name: point
+        for point in extract_tradeoff(
+            rows, tolerance_db, voltages=fig4.voltages
+        )
+    }
 
     result = TradeoffResult(
         app_name=app_name,
         tolerance_db=tolerance_db,
-        reference_snr_db=reference_snr,
-    )
-    for name in emt_names:
-        v_safe = v_safes[name]
-        if v_safe is None:
-            continue
-        result.operating_points.append(
+        # The error-free ceiling the tolerance is read from.
+        reference_snr_db=max(
+            quality[v_nominal].snr_mean_db[name] for name in emt_names
+        ),
+        operating_points=[
             EmtOperatingPoint(
                 emt_name=name,
-                v_min_safe=v_safe,
-                saving_vs_nominal=1.0
-                - energy[(name, v_safe)] / baseline_energy,
+                v_min_safe=safe[name].v_min_safe,
+                saving_vs_nominal=safe[name].saving_vs_nominal,
             )
-        )
-
+            for name in emt_names
+            if name in safe
+        ],
+    )
     result.policy = _build_policy(result.operating_points, v_nominal)
     return result
 

@@ -1,8 +1,8 @@
 """CLI logging: one ``repro`` logger, stderr-only, level-prefixed.
 
 The CLI's contract is that **stdout carries only the product** (tables,
-JSON, reports) and every diagnostic — progress, deprecation notes,
-failure details — goes to stderr.  This module owns that stderr side:
+JSON, reports) and every diagnostic — progress, notes, failure
+details — goes to stderr.  This module owns that stderr side:
 :func:`configure` binds a single stream handler for the ``repro``
 logger hierarchy at the verbosity the user picked (``-q`` errors only,
 default informational, ``-v`` debug).

@@ -250,16 +250,10 @@ class RunRegistry:
     # -- writes ------------------------------------------------------------
 
     def _append(self, record: RunRecord) -> RunRecord:
-        self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            try:
-                import fcntl
+        from ..campaign.store import locked_append
 
-                fcntl.flock(handle, fcntl.LOCK_EX)
-            except (ImportError, OSError):  # pragma: no cover - non-POSIX
-                pass
-            handle.write(line)
+        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        locked_append(self.path, line.encode("utf-8"))
         return record
 
     def register(

@@ -61,6 +61,9 @@ _JOIN_TIMEOUT_S = 1.0
 #: How long a cancellation drains already-completed results.
 _CANCEL_DRAIN_S = 0.25
 
+#: How often an idle worker checks that its owner is still alive.
+_OWNER_POLL_S = 0.5
+
 
 @dataclass
 class WorkOutcome:
@@ -114,11 +117,21 @@ def _worker_main(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    from queue import Empty  # worker-side only; the owner never needs it
+
+    owner = os.getppid()
     if initializer is not None:
         initializer(*initargs)
     chaos = active_chaos()
     while True:
-        task = tasks.get()
+        try:
+            task = tasks.get(timeout=_OWNER_POLL_S)
+        except Empty:
+            # A SIGKILLed owner never sends the shutdown sentinel; once
+            # this process is re-parented, nobody will read its results.
+            if os.getppid() != owner:
+                return
+            continue
         if task is None:
             return
         key, payload, attempt = task

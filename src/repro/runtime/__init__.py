@@ -22,8 +22,8 @@ battery drains:
 
 Campaign integration: the ``mission`` evaluator kind
 (:mod:`repro.campaign.evaluators`) runs policy x scenario grids through
-the parallel campaign runner, store and Pareto analysis; ``python -m
-repro mission`` is the CLI front-end.
+the parallel campaign runner, store and Pareto analysis; a ``kind =
+"mission"`` experiment file is the CLI front-end (``repro run``).
 """
 
 from .mission import MissionResult, MissionSpec, SegmentSpec

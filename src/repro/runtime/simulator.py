@@ -28,7 +28,7 @@ of which process ran it or what was cached.
 
 Calibrations are cached at two levels: a per-process ``lru_cache`` memo
 for the hot path, backed by the shared on-disk
-:class:`~repro.cache.DiskCache` so repeated ``repro mission`` runs — and
+:class:`~repro.cache.DiskCache` so repeated mission experiments — and
 every worker of a :class:`~repro.cohort.FleetSimulator` fleet — compute
 each (segment signature, operating point) model exactly once machine-wide
 (``REPRO_CACHE_DIR`` moves the cache, ``REPRO_CACHE_DISABLE=1`` turns

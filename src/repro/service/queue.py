@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from ..campaign.store import locked_append, quarantine_torn_lines
+from ..campaign.store import locked_append, read_jsonl
 from ..errors import ServiceError
 from ..obs.registry import pid_alive
 
@@ -301,25 +301,11 @@ class JobQueue:
         ``jobs.jsonl.quarantine``) and skipped, never fatal — a killed
         writer must not brick the queue.
         """
-        if not self.path.is_file():
-            return {}
         jobs: dict[str, JobRecord] = {}
-        torn: list[str] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                torn.append(line)
-                continue
-            if not _valid_line(payload):
-                torn.append(line)
-                continue
-            record = JobRecord.from_dict(payload)
-            jobs[record.job_id] = record
-        if torn:
-            quarantine_torn_lines(self.path, torn)
+        for payload in read_jsonl(self.path, _valid_line):
+            if payload is not None:
+                record = JobRecord.from_dict(payload)
+                jobs[record.job_id] = record
         return jobs
 
     def get(self, job_id: str) -> JobRecord | None:

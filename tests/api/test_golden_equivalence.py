@@ -2,10 +2,11 @@
 
 Three layers of pinning, per workload kind:
 
-1. **Shim == file**: the experiment a legacy subcommand constructs from
-   representative flags is canonically identical to the equivalent
-   committed-style experiment file — so every golden statement about
-   ``repro run`` transfers to the shims and vice versa.
+1. **API == file**: the experiment built in Python with the values the
+   removed per-artefact subcommands passed is canonically identical to
+   the equivalent committed-style experiment file — so every golden
+   statement about ``repro run`` holds for the Python API and vice
+   versa.
 2. **Plan == pre-redesign grids**: the campaign specs a sweep/figure
    experiment plans into expand to exactly the point content hashes the
    pre-redesign code paths (``fig4_spec`` + the historical ``repro
@@ -13,8 +14,8 @@ Three layers of pinning, per workload kind:
    over, store keys don't shift.
 3. **Results == direct simulators**: mission and cohort experiments
    produce bit-identical metrics to calling ``MissionSimulator`` /
-   ``FleetSimulator`` directly, and the shim CLI writes the same store
-   content hashes as ``repro run`` on the equivalent file.
+   ``FleetSimulator`` directly, and a Python-API session writes the
+   same store content hashes as ``repro run`` on the equivalent file.
 """
 
 from __future__ import annotations
@@ -23,22 +24,33 @@ import json
 
 import pytest
 
-from repro.api.schema import dump_experiment, load_experiment
+from repro.api.schema import (
+    CohortParams,
+    Experiment,
+    MissionParams,
+    SweepParams,
+    dump_experiment,
+    load_experiment,
+)
 from repro.api.session import Session, resolved_mission_spec
 from repro.campaign.spec import CampaignSpec
-from repro.cli import (
-    build_parser,
-    cohort_experiment,
-    main,
-    mission_experiment,
-    sweep_experiment,
-)
+from repro.cli import main
 
-SWEEP_FLAGS = [
-    "sweep", "--apps", "morphology", "--records", "100",
-    "--duration", "3", "--runs", "2", "--voltages", "0.55,0.9",
-    "--tolerance", "40",
-]
+SWEEP_EXPERIMENT = Experiment(
+    name="sweep",
+    kind="sweep",
+    params=SweepParams(
+        apps=("morphology",),
+        emts=("none", "dream", "secded"),
+        voltages=(0.55, 0.9),
+        records=("100",),
+        duration_s=3.0,
+        runs=2,
+        tolerance_db=40.0,
+    ),
+    workers=2,
+    store="sweep",
+)
 
 SWEEP_FILE_TOML = """\
 version = 1
@@ -57,11 +69,17 @@ runs = 2
 tolerance_db = 40.0
 """
 
-MISSION_FLAGS = [
-    "mission", "--scenario", "overnight", "--duration-scale", "0.02",
-    "--probe-runs", "2", "--probe-duration", "2",
-    "--policies", "static:secded@0.65,hysteresis",
-]
+MISSION_EXPERIMENT = Experiment(
+    name="mission-overnight",
+    kind="mission",
+    params=MissionParams(
+        scenario="overnight",
+        policies=("static:secded@0.65", "hysteresis"),
+        duration_scale=0.02,
+        probe_runs=2,
+        probe_duration_s=2.0,
+    ),
+)
 
 MISSION_FILE_TOML = """\
 version = 1
@@ -76,11 +94,19 @@ probe_runs = 2
 probe_duration_s = 2.0
 """
 
-COHORT_FLAGS = [
-    "cohort", "--size", "4", "--duration-scale", "0.01",
-    "--policies", "hysteresis", "--probe-runs", "2",
-    "--probe-duration", "2", "--workers", "1",
-]
+COHORT_EXPERIMENT = Experiment(
+    name="cohort",
+    kind="cohort",
+    params=CohortParams(
+        size=4,
+        policies=("hysteresis",),
+        scenarios=(("active_day", 0.7), ("overnight", 0.3)),
+        duration_scale=0.01,
+        probe_runs=2,
+        probe_duration_s=2.0,
+    ),
+    workers=1,
+)
 
 COHORT_FILE_TOML = """\
 version = 1
@@ -98,10 +124,6 @@ probe_duration_s = 2.0
 """
 
 
-def _args(flags):
-    return build_parser().parse_args(flags)
-
-
 def _store_hashes(path) -> dict[str, dict]:
     records = {}
     with open(path, encoding="utf-8") as handle:
@@ -112,34 +134,37 @@ def _store_hashes(path) -> dict[str, dict]:
 
 
 class TestShimEqualsFile:
-    """Layer 1: flags and files construct the same experiment."""
+    """Layer 1: the Python API and files construct the same experiment."""
 
     def test_sweep(self, tmp_path):
         path = tmp_path / "sweep.toml"
         path.write_text(SWEEP_FILE_TOML, encoding="utf-8")
-        shim = sweep_experiment(_args(SWEEP_FLAGS))
-        assert load_experiment(path).canonical_json() == shim.canonical_json()
+        assert (
+            load_experiment(path).canonical_json()
+            == SWEEP_EXPERIMENT.canonical_json()
+        )
 
     def test_mission(self, tmp_path):
         path = tmp_path / "mission.toml"
         path.write_text(MISSION_FILE_TOML, encoding="utf-8")
-        shim = mission_experiment(_args(MISSION_FLAGS))
-        assert load_experiment(path).canonical_json() == shim.canonical_json()
+        assert (
+            load_experiment(path).canonical_json()
+            == MISSION_EXPERIMENT.canonical_json()
+        )
 
     def test_cohort(self, tmp_path):
         path = tmp_path / "cohort.toml"
         path.write_text(COHORT_FILE_TOML, encoding="utf-8")
-        shim = cohort_experiment(_args(COHORT_FLAGS))
-        assert load_experiment(path).canonical_json() == shim.canonical_json()
+        assert (
+            load_experiment(path).canonical_json()
+            == COHORT_EXPERIMENT.canonical_json()
+        )
 
     @pytest.mark.parametrize("suffix", [".toml", ".json"])
     def test_dumped_shim_experiments_reload(self, suffix, tmp_path):
-        for build, flags in [
-            (sweep_experiment, SWEEP_FLAGS),
-            (mission_experiment, MISSION_FLAGS),
-            (cohort_experiment, COHORT_FLAGS),
-        ]:
-            experiment = build(_args(flags))
+        for experiment in (
+            SWEEP_EXPERIMENT, MISSION_EXPERIMENT, COHORT_EXPERIMENT,
+        ):
             out = tmp_path / f"{experiment.kind}{suffix}"
             dump_experiment(experiment, out)
             assert load_experiment(out) == experiment
@@ -152,8 +177,8 @@ class TestPlanEqualsPreRedesignGrids:
         from repro.exp.common import ExperimentConfig
         from repro.exp.fig4 import fig4_spec
 
-        args = _args(SWEEP_FLAGS)
-        experiment = sweep_experiment(args)
+        experiment = SWEEP_EXPERIMENT
+        params = experiment.params
         planned = Session().plan(experiment)
         planned_hashes = {
             point.content_hash()
@@ -161,30 +186,31 @@ class TestPlanEqualsPreRedesignGrids:
             for point in campaign.spec.expand()
         }
 
-        # The construction `_cmd_sweep` shipped before the redesign,
-        # reproduced literally.
+        # The construction the `sweep` subcommand shipped before the
+        # redesign, reproduced literally.
         config = ExperimentConfig(
-            records=args.records, duration_s=args.duration, n_runs=args.runs
+            records=params.records, duration_s=params.duration_s,
+            n_runs=params.runs,
         )
         quality_spec = fig4_spec(
-            app_names=args.apps,
-            emt_names=args.emts,
-            voltages=args.voltages,
+            app_names=params.apps,
+            emt_names=params.emts,
+            voltages=params.voltages,
             config=config,
-            name=f"{args.name}-quality",
+            name=f"{experiment.name}-quality",
         )
         energy_specs = [
             CampaignSpec(
-                name=f"{args.name}-energy",
+                name=f"{experiment.name}-energy",
                 kind="energy",
-                axes={"emt": args.emts, "voltage": args.voltages},
+                axes={"emt": params.emts, "voltage": params.voltages},
                 fixed={
                     "workload_app": app,
-                    "workload_record": args.records[0],
-                    "workload_duration_s": args.duration,
+                    "workload_record": params.records[0],
+                    "workload_duration_s": params.duration_s,
                 },
             )
-            for app in args.apps
+            for app in params.apps
         ]
         historical_hashes = {
             point.content_hash()
@@ -197,11 +223,16 @@ class TestPlanEqualsPreRedesignGrids:
         from repro.exp.common import ExperimentConfig
         from repro.exp.fig4 import fig4_spec
 
-        from repro.cli import fig4_experiment
+        from repro.api.schema import Fig4Params
 
-        flags = ["fig4", "--apps", "morphology", "--records", "100",
-                 "--duration", "3", "--runs", "2"]
-        experiment = fig4_experiment(_args(flags))
+        experiment = Experiment(
+            name="fig4",
+            kind="figure",
+            params=Fig4Params(
+                apps=("morphology",), records=("100",), duration_s=3.0,
+                runs=2,
+            ),
+        )
         planned = Session().plan(experiment)
         config = ExperimentConfig(
             records=("100",), duration_s=3.0, n_runs=2
@@ -220,7 +251,7 @@ class TestResultsEqualDirectSimulators:
     def test_mission_session_equals_direct_simulator(self):
         from repro.runtime import MissionSimulator, policy_from_dict
 
-        experiment = mission_experiment(_args(MISSION_FLAGS))
+        experiment = MISSION_EXPERIMENT
         handle = Session().run(experiment)
         assert handle.ok
 
@@ -240,7 +271,7 @@ class TestResultsEqualDirectSimulators:
         from repro.api.session import cohort_spec_for
         from repro.cohort import FleetSimulator, survival_curve
 
-        experiment = cohort_experiment(_args(COHORT_FLAGS))
+        experiment = COHORT_EXPERIMENT
         handle = Session().run(experiment)
         assert handle.ok
 
@@ -257,10 +288,8 @@ class TestResultsEqualDirectSimulators:
         ]
         assert handle.records[0]["result"] == expected
 
-    def test_sweep_shim_and_run_write_identical_stores(
-        self, tmp_path, monkeypatch
-    ):
-        """The acceptance gate: `repro sweep <flags>` and `repro run
+    def test_sweep_shim_and_run_write_identical_stores(self, tmp_path):
+        """The acceptance gate: a Python-API session and `repro run
         <equivalent file>` produce byte-comparable result stores —
         same content-hash keys, same kinds, same result payloads."""
         shim_dir = tmp_path / "shim"
@@ -268,9 +297,7 @@ class TestResultsEqualDirectSimulators:
         spec_path = tmp_path / "sweep.toml"
         spec_path.write_text(SWEEP_FILE_TOML, encoding="utf-8")
 
-        monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(shim_dir))
-        assert main(SWEEP_FLAGS) == 0
-        monkeypatch.delenv("REPRO_CAMPAIGN_DIR")
+        assert Session(store_dir=shim_dir).run(SWEEP_EXPERIMENT).ok
         assert main(
             ["run", str(spec_path), "--store-dir", str(file_dir)]
         ) == 0
@@ -286,7 +313,7 @@ class TestResultsEqualDirectSimulators:
                 assert record["kind"] == other["kind"]
 
     def test_mission_shim_and_run_write_identical_stores(self, tmp_path):
-        """Mission runs persist when a store is attached; the shim-built
+        """Mission runs persist when a store is attached; the Python-API
         experiment and the file produce the same keys and results."""
         shim_dir = tmp_path / "shim"
         file_dir = tmp_path / "file"
@@ -296,7 +323,7 @@ class TestResultsEqualDirectSimulators:
         from dataclasses import replace
 
         shim_exp = replace(
-            mission_experiment(_args(MISSION_FLAGS)), store="mission-golden"
+            MISSION_EXPERIMENT, store="mission-golden"
         )
         Session(store_dir=shim_dir).run(shim_exp)
         assert main([

@@ -20,7 +20,7 @@ from repro.api.schema import (
     experiment_from_payload,
     load_experiment,
 )
-from repro.cli import build_parser
+from repro.energy.technology import PAPER_VOLTAGE_GRID
 from repro.errors import ExperimentSpecError
 
 
@@ -118,43 +118,47 @@ class TestStructuralValidation:
 
 
 class TestDefaultsMatchTheLegacyCli:
-    """A file with only the keys you care about reproduces the shims."""
+    """A file with only the keys you care about reproduces the defaults
+    of the per-artefact subcommands removed in 1.8.0."""
 
     def test_sweep_defaults(self):
-        args = build_parser().parse_args(["sweep"])
         params = SweepParams()
-        assert params.apps == args.apps
-        assert params.emts == args.emts
-        assert params.voltages == args.voltages
-        assert params.records == args.records
-        assert params.duration_s == args.duration
-        assert params.runs == args.runs
-        assert params.tolerance_db == args.tolerance
+        assert params.apps == ("dwt",)
+        assert params.emts == ("none", "dream", "secded")
+        assert params.voltages == PAPER_VOLTAGE_GRID
+        assert params.records == ("100", "106")
+        assert params.duration_s == 8.0
+        assert params.runs == 6
+        assert params.tolerance_db == 5.0
 
     def test_mission_defaults(self):
-        args = build_parser().parse_args(["mission"])
         params = MissionParams()
-        assert params.scenario == args.scenario
-        assert params.policies == args.policies
-        assert params.duration_scale == args.duration_scale
-        assert params.probe_runs == args.probe_runs
-        assert params.probe_duration_s == args.probe_duration
+        assert params.scenario == "active_day"
+        assert params.policies == (
+            "static-ladder", "quality", "soc", "hysteresis",
+        )
+        assert params.duration_scale == 1.0
+        assert params.probe_runs == 3
+        assert params.probe_duration_s == 4.0
 
     def test_cohort_defaults(self):
-        args = build_parser().parse_args(["cohort"])
         params = CohortParams()
-        assert params.size == args.size
-        assert params.policies == args.policies
-        assert serde.format_mix(params.scenarios) == args.scenarios
+        assert params.size == 200
+        assert params.policies == ("static", "soc", "hysteresis")
+        assert serde.format_mix(params.scenarios) == (
+            "active_day:0.7,overnight:0.3"
+        )
 
     def test_figure_defaults(self):
-        fig4 = build_parser().parse_args(["fig4"])
         params = Fig4Params()
-        assert params.apps == fig4.apps
-        assert params.emts == fig4.emts
-        assert params.runs == fig4.runs
-        assert params.records == fig4.records
-        assert params.duration_s == fig4.duration
+        assert params.apps == (
+            "dwt", "matrix_filter", "compressed_sensing", "morphology",
+            "delineation",
+        )
+        assert params.emts == ("none", "dream", "secded")
+        assert params.runs == 12
+        assert params.records == ("100", "106")
+        assert params.duration_s == 8.0
 
 
 class TestRoundTrips:

@@ -64,3 +64,21 @@ def rng():
 def small_geometry():
     """A tiny banked memory for fast exhaustive checks."""
     return MemoryGeometry(n_words=256, word_bits=16, n_banks=4)
+
+
+@pytest.fixture(scope="session")
+def run_figure():
+    """Run a figure's params through :class:`repro.api.Session`.
+
+    Returns ``run(params, **session_kwargs) -> result`` — the
+    ``Fig2Result``/``Fig4Result``/``EnergyAnalysis``/``TradeoffResult``
+    a ``kind = "figure"`` experiment reduces to.
+    """
+    from repro.api import Session
+    from repro.api.schema import Experiment
+
+    def run(params, **session_kwargs):
+        experiment = Experiment(name=params.KIND, kind="figure", params=params)
+        return Session(**session_kwargs).run(experiment).result()
+
+    return run

@@ -1,56 +1,74 @@
-"""Equivalence of the campaign-backed drivers with their inline paths.
+"""Equivalence of the figure execution paths.
 
-The Fig 2 / Fig 4 drivers evaluate their grids through the shared
-campaign runner, but fall back to an in-process loop when pre-built
-app/EMT instances are supplied.  Both paths (and any worker count) must
-produce identical numbers — the guarantee that lets callers scale sweeps
-without revalidating results — and the campaign path must resume from a
-result store.
+Figures run as ``kind = "figure"`` experiments through
+:class:`repro.api.Session`, whose campaign points must equal a direct
+in-process evaluation, be identical at any worker count, and resume
+from a result store — the guarantees that let callers scale sweeps
+without revalidating results.  The trial-batched :func:`run_fig2` must
+equal the campaign path too.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
+from repro.api.schema import EnergyParams, Experiment, Fig2Params, Fig4Params
 from repro.apps.registry import make_app
-from repro.campaign import ResultStore
+from repro.campaign.evaluators import grid_seed
 from repro.emt import make_emt
+from repro.energy.technology import TECH_32NM_LP
 from repro.errors import ExperimentError
-from repro.exp import ExperimentConfig, fig2_spec, fig4_spec, run_fig2, run_fig4
-from repro.exp.energy_table import run_energy_analysis
+from repro.exp import ExperimentConfig, fig2_spec, fig4_spec, run_fig2
+from repro.exp.common import load_corpus, run_monte_carlo
+from repro.exp.energy_table import (
+    energy_analysis_from_records,
+    measure_workload,
+)
+from repro.exp.fig4 import fig4_result_from_records
+from repro.exp.tradeoff import run_tradeoff
 
 FAST = ExperimentConfig(records=("100",), duration_s=3.0, n_runs=2)
 VOLTAGES = (0.6, 0.8)
 
 
+def fig4_params(apps=("morphology",), voltages=VOLTAGES,
+                emts=("none", "dream", "secded")) -> Fig4Params:
+    """Fig 4 params with the :data:`FAST` corpus and run count."""
+    return Fig4Params(
+        apps=apps, emts=emts, voltages=voltages, records=FAST.records,
+        duration_s=FAST.duration_s, runs=FAST.n_runs,
+    )
+
+
+def figure(params, store: str | None = None) -> Experiment:
+    return Experiment(name=params.KIND, kind="figure", params=params,
+                      store=store)
+
+
 class TestFig4Paths:
     @pytest.fixture(scope="class")
-    def campaign_result(self):
-        return run_fig4(
-            app_names=("morphology",), config=FAST, voltages=VOLTAGES
-        )
+    def campaign_result(self, run_figure):
+        return run_figure(fig4_params())
 
     def test_inline_instances_match_campaign(self, campaign_result):
-        inline = run_fig4(
-            app_names=("morphology",),
-            config=FAST,
-            voltages=VOLTAGES,
-            apps={"morphology": make_app("morphology")},
-            emts={n: make_emt(n) for n in ("none", "dream", "secded")},
-        )
+        """A campaign point equals the Monte Carlo run directly on
+        caller-built app/EMT instances with the point's grid seed."""
+        corpus = load_corpus(FAST)
+        app = make_app("morphology")
+        emts = {n: make_emt(n) for n in ("none", "dream", "secded")}
         for voltage in VOLTAGES:
+            inline = run_monte_carlo(
+                app, emts, TECH_32NM_LP.ber(voltage), FAST, corpus,
+                grid_seed("morphology", voltage),
+            )
             assert (
-                inline.points["morphology"][voltage].snr_mean_db
+                inline.snr_mean_db
                 == campaign_result.points["morphology"][voltage].snr_mean_db
             )
 
-    def test_worker_pool_matches_serial(self, campaign_result):
-        parallel = run_fig4(
-            app_names=("morphology",),
-            config=FAST,
-            voltages=VOLTAGES,
-            n_workers=2,
-        )
+    def test_worker_pool_matches_serial(self, campaign_result, run_figure):
+        parallel = run_figure(fig4_params(), workers=2)
         for voltage in VOLTAGES:
             assert (
                 parallel.points["morphology"][voltage].snr_mean_db
@@ -58,23 +76,18 @@ class TestFig4Paths:
             )
 
     def test_store_resume_round_trips(self, campaign_result, tmp_path):
-        store = ResultStore(tmp_path / "fig4.jsonl")
-        first = run_fig4(
-            app_names=("morphology",),
-            config=FAST,
-            voltages=VOLTAGES,
-            store=store,
-        )
-        assert len(store.completed_hashes()) == len(VOLTAGES)
-        resumed = run_fig4(
-            app_names=("morphology",),
-            config=FAST,
-            voltages=VOLTAGES,
-            store=store,
-        )
+        session = Session(store_dir=tmp_path)
+        experiment = figure(fig4_params(), store="fig4")
+        first = session.run(experiment)
+        assert first.campaigns("main")[0].result.n_executed == len(VOLTAGES)
+        resumed = session.run(experiment)
+        assert resumed.campaigns("main")[0].result.n_executed == 0
         for voltage in VOLTAGES:
-            point = resumed.points["morphology"][voltage]
-            assert point.snr_mean_db == first.points["morphology"][voltage].snr_mean_db
+            point = resumed.result().points["morphology"][voltage]
+            assert (
+                point.snr_mean_db
+                == first.result().points["morphology"][voltage].snr_mean_db
+            )
             # JSON round-trip must preserve exact statistics.
             assert (
                 point.snr_mean_db
@@ -84,93 +97,107 @@ class TestFig4Paths:
     def test_unknown_app_fails_before_any_grid_work(self):
         """A typo'd name must not cost a full sweep of the valid points."""
         with pytest.raises(ExperimentError, match="fft"):
-            run_fig4(app_names=("dwt", "fft"), config=FAST, voltages=(0.9,))
+            Session().plan(figure(fig4_params(apps=("dwt", "fft"))))
         with pytest.raises(ExperimentError, match="bch"):
-            run_fig4(
-                app_names=("dwt",), emt_names=("none", "bch"),
-                config=FAST, voltages=(0.9,),
-            )
+            Session().plan(figure(fig4_params(emts=("none", "bch"))))
 
     def test_degenerate_grids_return_empty_results(self):
-        """Empty selections behave as the pre-campaign drivers did:
-        empty results, not a spec-validation error."""
-        empty_apps = run_fig4(app_names=(), config=FAST, voltages=(0.9,))
-        assert empty_apps.points == {}
-        no_voltages = run_fig4(app_names=("dwt",), config=FAST, voltages=())
+        """Empty selections reduce to empty results, not errors."""
+        assert fig4_result_from_records([], (), (0.9,)).points == {}
+        no_voltages = fig4_result_from_records([], ("dwt",), ())
         assert no_voltages.points == {"dwt": {}}
         assert run_fig2(app_names=(), config=FAST).snr_db == {}
-        analysis = run_energy_analysis(voltages=())
+        analysis = energy_analysis_from_records(
+            [], ("none", "dream", "secded"), ()
+        )
         assert analysis.total_pj["none"] == {}
         assert analysis.encoder_area_ratio == pytest.approx(1.28, abs=0.01)
-        # ... but name validation still runs on a degenerate grid.
+        # ... but name validation still runs before any grid work.
         with pytest.raises(ExperimentError, match="typo"):
-            run_energy_analysis(emt_names=("none", "typo"), voltages=())
+            Session().plan(figure(EnergyParams(emts=("none", "typo"))))
 
 
 class TestFig2Paths:
-    def test_inline_instances_match_campaign(self):
-        config = ExperimentConfig(records=("100",), duration_s=2.0)
-        via_campaign = run_fig2(app_names=("morphology",), config=config)
-        inline = run_fig2(
-            config=config, apps={"morphology": make_app("morphology")}
+    def test_inline_instances_match_campaign(self, run_figure):
+        """The trial-batched in-process sweep equals the campaign."""
+        via_campaign = run_figure(Fig2Params(
+            apps=("morphology",), records=("100",), duration_s=2.0,
+        ))
+        batched = run_fig2(
+            app_names=("morphology",),
+            config=ExperimentConfig(records=("100",), duration_s=2.0),
         )
-        assert via_campaign.snr_db == inline.snr_db
+        assert via_campaign.snr_db == batched.snr_db
 
     def test_spec_covers_the_full_grid(self):
         spec = fig2_spec(("dwt", "morphology"), FAST)
         assert spec.grid_size == 2 * 2 * 16
 
 
-class TestTradeoffImplementationsAgree:
-    """Drift guard: ``exp.tradeoff.run_tradeoff`` (Fig 4 objects) and
-    ``campaign.analysis.extract_tradeoff`` (stored records) implement the
-    same Section VI-C rules; on one dataset they must produce identical
-    operating points."""
+class TestTradeoffRegression:
+    """``run_tradeoff`` operating points and policy on one fixed sweep,
+    pinned to the values the Section VI-C rule gives there."""
 
-    def test_same_operating_points_from_both_paths(self):
-        import numpy as np
-
-        from repro.campaign import extract_tradeoff
-        from repro.exp.energy_table import energy_spec, measure_workload
-        from repro.exp.tradeoff import run_tradeoff
-        from repro.campaign.runner import run_campaign
-
-        voltages = (0.55, 0.65, 0.75, 0.85, 0.9)
-        fig4 = run_fig4(
-            app_names=("morphology",), config=FAST, voltages=voltages
-        )
+    @pytest.fixture(scope="class")
+    def inputs(self, run_figure):
+        fig4 = run_figure(fig4_params(voltages=(0.55, 0.65, 0.75, 0.85, 0.9)))
         workload = measure_workload("morphology", record="100", duration_s=3.0)
-        tolerance = 40.0
+        return fig4, workload
 
-        via_exp = run_tradeoff(
-            fig4, app_name="morphology", tolerance_db=tolerance,
-            workload=workload,
-        )
+    #: tolerance -> (operating points in emt order, policy ranges).
+    PINNED = {
+        40.0: (
+            [("none", 0.75, 0.3115780205210892),
+             ("dream", 0.65, 0.3090522514668639),
+             ("secded", 0.65, 0.19933581751896434)],
+            [(0.75, 0.9, "none"), (0.65, 0.75, "dream")],
+        ),
+        5.0: (
+            [("none", 0.75, 0.3115780205210892),
+             ("dream", 0.75, 0.07664480823632491),
+             ("secded", 0.65, 0.19933581751896434)],
+            [(0.75, 0.9, "none"), (0.65, 0.75, "secded")],
+        ),
+    }
 
-        energy = run_campaign(
-            energy_spec(("none", "dream", "secded"), voltages, workload)
+    def test_operating_points_match_pinned_values(self, inputs):
+        fig4, workload = inputs
+        for tolerance, (expected, policy) in self.PINNED.items():
+            result = run_tradeoff(
+                fig4, app_name="morphology", tolerance_db=tolerance,
+                workload=workload,
+            )
+            assert result.reference_snr_db == 96.0
+            assert [
+                (p.emt_name, p.v_min_safe) for p in result.operating_points
+            ] == [(name, v) for name, v, _saving in expected]
+            for point, (_name, _v, saving) in zip(
+                result.operating_points, expected
+            ):
+                assert point.saving_vs_nominal == pytest.approx(
+                    saving, rel=1e-12
+                )
+            assert [
+                (r.v_min, r.v_max, r.emt_name) for r in result.policy
+            ] == policy
+
+    def test_baseline_priced_when_not_a_candidate(self, inputs):
+        """Without 'none' among the candidates the savings are still
+        measured against it, and it joins neither ceiling nor policy."""
+        fig4, workload = inputs
+        result = run_tradeoff(
+            fig4, app_name="morphology", tolerance_db=40.0,
+            emt_names=("secded", "dream"), workload=workload,
         )
-        rows = [
-            {
-                "emt": emt,
-                "voltage": voltage,
-                "snr_db": fig4.points["morphology"][voltage].snr_mean_db[emt],
-                "energy_pj": rec["result"]["total_pj"],
-            }
-            for rec in energy.records
-            for emt, voltage in [
-                (rec["params"]["emt"], rec["params"]["voltage"])
-            ]
+        assert [
+            (p.emt_name, p.v_min_safe) for p in result.operating_points
+        ] == [("secded", 0.65), ("dream", 0.65)]
+        assert result.operating_points[1].saving_vs_nominal == (
+            pytest.approx(0.3090522514668639, rel=1e-12)
+        )
+        assert [(r.v_min, r.v_max, r.emt_name) for r in result.policy] == [
+            (0.65, 0.9, "secded"),
         ]
-        via_campaign = {
-            p.emt_name: p for p in extract_tradeoff(rows, tolerance)
-        }
-
-        assert len(via_campaign) == len(via_exp.operating_points)
-        for point in via_exp.operating_points:
-            twin = via_campaign[point.emt_name]
-            assert twin.v_min_safe == point.v_min_safe
-            assert np.isclose(twin.saving_vs_nominal, point.saving_vs_nominal)
 
 
 class TestSpecShapes:
@@ -181,7 +208,7 @@ class TestSpecShapes:
         assert "emts" in spec.fixed
         assert set(spec.axes) == {"app", "voltage"}
 
-    def test_energy_analysis_unchanged_through_campaign(self):
-        analysis = run_energy_analysis()
+    def test_energy_analysis_unchanged_through_campaign(self, run_figure):
+        analysis = run_figure(EnergyParams())
         assert analysis.mean_overhead("dream") == pytest.approx(0.34, abs=0.02)
         assert analysis.mean_overhead("secded") == pytest.approx(0.55, abs=0.02)

@@ -9,11 +9,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session
+from repro.api.schema import EnergyParams, Experiment, Fig4Params
+from repro.campaign import extract_tradeoff
 from repro.exp import (
     ExperimentConfig,
-    run_energy_analysis,
     run_fig2,
-    run_fig4,
     run_tradeoff,
     overhead_table,
 )
@@ -24,6 +25,14 @@ from repro.emt import make_emt
 from repro.errors import ExperimentError
 
 FAST = ExperimentConfig(records=("100",), duration_s=4.0, n_runs=3)
+
+
+def fig4_params(apps, voltages) -> Fig4Params:
+    """Fig 4 params with the :data:`FAST` corpus and run count."""
+    return Fig4Params(
+        apps=apps, voltages=voltages, records=FAST.records,
+        duration_s=FAST.duration_s, runs=FAST.n_runs,
+    )
 
 
 class TestConfig:
@@ -107,11 +116,9 @@ class TestFig2:
 
 class TestFig4:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_fig4(
-            app_names=("morphology",),
-            config=FAST,
-            voltages=(0.5, 0.6, 0.7, 0.8, 0.9),
+    def result(self, run_figure):
+        return run_figure(
+            fig4_params(("morphology",), (0.5, 0.6, 0.7, 0.8, 0.9))
         )
 
     def test_structure(self, result):
@@ -144,16 +151,21 @@ class TestFig4:
         assert point.snr_mean_db["dream"] > point.snr_mean_db["secded"]
 
     def test_min_voltage_meeting(self, result):
-        v = result.min_voltage_meeting("morphology", "none", 95.0)
-        assert v is not None and v >= 0.7
-        assert result.min_voltage_meeting("morphology", "none", 1e9) is None
+        """The VI-C floor read off this sweep (unit energy per row)."""
+        rows = [
+            {"emt": emt, "voltage": v, "snr_db": snr, "energy_pj": 1.0}
+            for v, point in result.points["morphology"].items()
+            for emt, snr in point.snr_mean_db.items()
+        ]
+        floors = {
+            p.emt_name: p.v_min_safe for p in extract_tradeoff(rows, 1.0)
+        }
+        assert floors["none"] >= 0.7
 
-    def test_reproducible(self):
-        kwargs = dict(
-            app_names=("morphology",), config=FAST, voltages=(0.6,)
-        )
-        a = run_fig4(**kwargs)
-        b = run_fig4(**kwargs)
+    def test_reproducible(self, run_figure):
+        params = fig4_params(("morphology",), (0.6,))
+        a = run_figure(params)
+        b = run_figure(params)
         assert (
             a.points["morphology"][0.6].snr_mean_db
             == b.points["morphology"][0.6].snr_mean_db
@@ -162,8 +174,8 @@ class TestFig4:
 
 class TestEnergyAnalysis:
     @pytest.fixture(scope="class")
-    def analysis(self):
-        return run_energy_analysis()
+    def analysis(self, run_figure):
+        return run_figure(EnergyParams())
 
     def test_headline_overheads(self, analysis):
         assert analysis.mean_overhead("dream") == pytest.approx(0.34, abs=0.02)
@@ -179,8 +191,13 @@ class TestEnergyAnalysis:
         assert analysis.decoder_area_ratio == pytest.approx(2.20, abs=0.01)
 
     def test_requires_baseline(self):
-        with pytest.raises(ExperimentError):
-            run_energy_analysis(emt_names=("dream", "secded"))
+        """Planning rejects it, before any grid point runs."""
+        experiment = Experiment(
+            name="energy", kind="figure",
+            params=EnergyParams(emts=("dream", "secded")),
+        )
+        with pytest.raises(ExperimentError, match="baseline 'none'"):
+            Session().plan(experiment)
 
     def test_energy_decreases_with_voltage(self, analysis):
         totals = [analysis.total_pj["none"][v] for v in analysis.voltages]
@@ -189,13 +206,10 @@ class TestEnergyAnalysis:
 
 class TestTradeoff:
     @pytest.fixture(scope="class")
-    def fig4(self):
-        cfg = ExperimentConfig(records=("100",), duration_s=4.0, n_runs=3)
-        return run_fig4(
-            app_names=("dwt",),
-            config=cfg,
-            voltages=(0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9),
-        )
+    def fig4(self, run_figure):
+        return run_figure(fig4_params(
+            ("dwt",), (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9),
+        ))
 
     def test_policy_structure(self, fig4):
         result = run_tradeoff(fig4, app_name="dwt", tolerance_db=30.0)

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.schema import EnergyParams, Fig4Params
 from repro.exp import (
     ExperimentConfig,
     overhead_table,
-    run_energy_analysis,
     run_fig2,
-    run_fig4,
     run_tradeoff,
 )
 from repro.exp.report import (
@@ -32,10 +31,11 @@ def fig2_result():
 
 
 @pytest.fixture(scope="module")
-def fig4_result():
-    return run_fig4(
-        app_names=("morphology",), config=FAST, voltages=(0.6, 0.9)
-    )
+def fig4_result(run_figure):
+    return run_figure(Fig4Params(
+        apps=("morphology",), voltages=(0.6, 0.9), records=FAST.records,
+        duration_s=FAST.duration_s, runs=FAST.n_runs,
+    ))
 
 
 class TestFormatFig2:
@@ -69,8 +69,8 @@ class TestFormatFig4:
 
 
 class TestFormatEnergy:
-    def test_headline_lines(self):
-        text = format_energy_analysis(run_energy_analysis())
+    def test_headline_lines(self, run_figure):
+        text = format_energy_analysis(run_figure(EnergyParams()))
         assert "paper: ~34%" in text
         assert "paper: ~55%" in text
         assert "paper: 1.28" in text

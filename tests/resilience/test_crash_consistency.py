@@ -1,21 +1,28 @@
-"""Crash-consistency tests: torn tails, sealing, and write retries.
+"""Crash-consistency tests: torn tails, sealing, write retries, forks.
 
 A writer killed mid-append (the chaos layer's whole point) must never
 make a store unreadable: the torn tail is tolerated and quarantined on
 load, the next append seals it with a newline so debris cannot merge
 with fresh records, and a transient ENOSPC at the persistence seam is
-retried before it fails the campaign.
+retried before it fails the campaign.  A process forked mid-append
+must not inherit the append's file lock.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.cache import DiskCache, computed_events
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
-from repro.campaign.store import quarantine_torn_lines
+from repro.campaign.store import locked_append, quarantine_torn_lines
 from repro.errors import CampaignError
 from repro.resilience import chaos_draw
 
@@ -133,3 +140,59 @@ class TestStoreWriteRetry:
             CampaignError, match="store append failed after 5 attempts"
         ):
             run_campaign(one_point_spec(), store=store)
+
+
+class TestForkDuringAppend:
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_fork_mid_append_does_not_inherit_the_file_lock(
+        self, tmp_path, monkeypatch
+    ):
+        """A child forked while another thread is inside a locked append
+        must not hold the file lock for its lifetime: a fresh process's
+        append to the same file completes while the child still lives."""
+        path = tmp_path / "journal.jsonl"
+        inside = threading.Event()
+        release = threading.Event()
+        real_fstat = os.fstat
+
+        def blocking_fstat(fd):
+            # locked_append stats its descriptor after taking the lock.
+            if threading.current_thread().name == "appender":
+                inside.set()
+                release.wait(10)
+            return real_fstat(fd)
+
+        monkeypatch.setattr(os, "fstat", blocking_fstat)
+        appender = threading.Thread(
+            target=locked_append, args=(path, b'{"a": 1}\n'),
+            name="appender",
+        )
+        appender.start()
+        assert inside.wait(10)
+        # Let the append finish shortly after the fork starts, whether
+        # or not the fork waits for it.
+        threading.Timer(0.5, release.set).start()
+        pid = os.fork()
+        if pid == 0:  # child: outlive the fresh append below
+            time.sleep(30)
+            os._exit(0)
+        try:
+            appender.join(10)
+            assert not appender.is_alive()
+            monkeypatch.undo()
+            script = (
+                "import sys; from pathlib import Path; "
+                "from repro.campaign.store import locked_append; "
+                "locked_append(Path(sys.argv[1]), b'{\"b\": 2}\\n')"
+            )
+            subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                check=True, timeout=5,
+            )
+            assert os.waitpid(pid, os.WNOHANG) == (0, 0)  # child alive
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert [json.loads(line) for line in path.read_text().splitlines()] == [
+            {"a": 1}, {"b": 2},
+        ]

@@ -187,6 +187,9 @@ class TestRecovery:
         ]
         for i in range(20):
             queue.mark("job-a", "running" if i % 2 else "queued")
+            queue.load()  # a reader racing the appenders
+        while any(proc.poll() is None for proc in procs):
+            queue.load()
         assert all(proc.wait() == 0 for proc in procs)
         jobs = queue.load()
         assert len(jobs) == 21

@@ -18,6 +18,7 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.errors import ServiceError
+from repro.obs.registry import pid_alive
 from repro.service import JobQueue, ServiceClient, campaign_job_payload
 
 from test_daemon import canon
@@ -96,6 +97,19 @@ def wait_all_terminal(queue, job_ids, timeout_s=120.0):
         time.sleep(0.1)
 
 
+def running_owner_pids(queue) -> set[int]:
+    """Every worker pid the journal recorded on a ``running`` transition."""
+    pids = set()
+    for line in queue.path.read_text(encoding="utf-8").splitlines():
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:  # the kill may tear the last line
+            continue
+        if record.get("status") == "running" and record.get("owner_pid"):
+            pids.add(record["owner_pid"])
+    return pids
+
+
 class TestSigkillRecovery:
     def test_kill_midburst_loses_no_completed_work(
         self, service_paths, tmp_path
@@ -119,6 +133,17 @@ class TestSigkillRecovery:
         finally:
             daemon.kill()
             daemon.wait()
+
+        # The fleet workers notice their owner died and exit on their
+        # own instead of blocking forever on the task queue.
+        workers = running_owner_pids(queue)
+        assert workers
+        deadline = time.monotonic() + 10.0
+        while any(pid_alive(pid) for pid in workers):
+            assert time.monotonic() < deadline, (
+                f"orphaned fleet workers still alive: {workers}"
+            )
+            time.sleep(0.1)
 
         # The journal survived the kill: parsable, no lost submissions.
         jobs = queue.load()

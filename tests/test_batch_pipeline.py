@@ -336,16 +336,23 @@ class TestMonteCarloProtocol:
         assert batched.snr_std_db == sequential.snr_std_db
 
     def test_fig2_fast_path_equals_campaign_path(self, tmp_path):
-        from repro.campaign.store import ResultStore
+        from repro.api import Session
+        from repro.api.schema import Experiment, Fig2Params
         from repro.exp.common import ExperimentConfig
         from repro.exp.fig2 import run_fig2
 
         config = ExperimentConfig(records=("100",), duration_s=2.0)
         fast = run_fig2(app_names=("morphology",), config=config)
-        store = ResultStore(tmp_path / "fig2.jsonl")
-        campaign = run_fig2(
-            app_names=("morphology",), config=config, store=store
+        experiment = Experiment(
+            name="fig2",
+            kind="figure",
+            params=Fig2Params(
+                apps=("morphology",), records=("100",), duration_s=2.0
+            ),
+            store="fig2",
         )
+        campaign = Session(store_dir=tmp_path).run(experiment).result()
+        assert (tmp_path / "fig2.jsonl").is_file()
         assert fast.snr_db == campaign.snr_db
 
 

@@ -1,10 +1,81 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interface.
+
+Experiments run through ``repro run <file>``; the helpers below write
+the small experiment files the tests drive.
+"""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "examples" / "experiments"
+
+#: The per-artefact verbs removed in 1.8.0 (each is an experiment file).
+REMOVED_VERBS = ("fig2", "fig4", "energy", "tradeoff", "sweep", "mission",
+                 "cohort")
+
+
+def experiment_file(tmp_path, kind: str, section: str, body: str,
+                    name: str | None = None, **top) -> str:
+    """Write a ``kind`` experiment file with one ``[section]`` table."""
+    lines = ["version = 1", f'kind = "{kind}"', f'name = "{name or kind}"']
+    lines += [f"{key} = {value!r}" for key, value in top.items()]
+    path = tmp_path / f"{name or kind}.toml"
+    path.write_text(
+        "\n".join(lines) + f"\n\n[{section}]\n" + body, encoding="utf-8"
+    )
+    return str(path)
+
+
+def figure_file(tmp_path, body: str, name: str = "figure") -> str:
+    return experiment_file(tmp_path, "figure", "figure", body, name=name)
+
+
+def sweep_file(tmp_path, voltages: str, apps: str = '["morphology"]',
+               emts: str = '["none", "dream", "secded"]',
+               tolerance_db: float = 5.0, workers: int = 1,
+               extra: str = "") -> str:
+    """A sweep with the small-record settings every sweep test uses."""
+    return experiment_file(
+        tmp_path, "sweep", "sweep",
+        f"apps = {apps}\nemts = {emts}\nvoltages = [{voltages}]\n"
+        f'records = ["100"]\nduration_s = 3.0\nruns = 2\n'
+        f"tolerance_db = {tolerance_db}\n" + extra,
+        workers=workers,
+    )
+
+
+def mission_file(tmp_path, scenario: str = "overnight",
+                 policies: str = '["static:secded@0.65", "hysteresis"]'
+                 ) -> str:
+    return experiment_file(
+        tmp_path, "mission", "mission",
+        f'scenario = "{scenario}"\npolicies = {policies}\n'
+        "duration_scale = 0.02\nprobe_runs = 2\nprobe_duration_s = 2.0\n",
+        name=f"mission-{scenario}",
+    )
+
+
+def cohort_file(tmp_path, size: int = 6,
+                policies: str = '["static:secded@0.65", "hysteresis"]',
+                scenarios: str = '[["active_day", 0.7], ["overnight", 0.3]]'
+                ) -> str:
+    return experiment_file(
+        tmp_path, "cohort", "cohort",
+        f"size = {size}\npolicies = {policies}\nscenarios = {scenarios}\n"
+        "duration_scale = 0.01\nprobe_runs = 2\nprobe_duration_s = 2.0\n",
+        workers=1,
+    )
+
+
+FIG4_SMALL = (
+    'figure = "fig4"\napps = ["morphology"]\nrecords = ["100"]\n'
+    "duration_s = 3.0\nruns = 2\n"
+)
 
 
 class TestParser:
@@ -16,22 +87,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fft"])
 
-    def test_csv_arguments(self):
-        args = build_parser().parse_args(
-            ["fig2", "--apps", "dwt, morphology", "--records", "100"]
-        )
-        assert args.apps == ("dwt", "morphology")
-        assert args.records == ("100",)
+    @pytest.mark.parametrize("verb", REMOVED_VERBS)
+    def test_removed_experiment_verbs_are_invalid_choices(
+        self, verb, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--runs", "2"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_defaults(self):
-        args = build_parser().parse_args(["fig4"])
-        assert args.runs == 12
-        assert args.emts == ("none", "dream", "secded")
-        assert args.workers == 1
+        args = build_parser().parse_args(["run", "x.toml"])
+        assert args.experiment == "x.toml"
+        assert args.workers is None
+        assert args.backend is None
+        assert args.store is None and args.store_dir is None
+        assert not args.fresh
         assert args.seed is None
 
     def test_global_seed_option(self):
-        args = build_parser().parse_args(["--seed", "7", "fig4"])
+        args = build_parser().parse_args(["--seed", "7", "run", "x.toml"])
         assert args.seed == 7
 
     def test_version_flag(self, capsys):
@@ -41,24 +116,6 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
-
-    def test_mission_defaults(self):
-        args = build_parser().parse_args(["mission"])
-        assert args.scenario == "active_day"
-        assert "static-ladder" in args.policies
-        assert "hysteresis" in args.policies
-        assert args.duration_scale == 1.0
-
-    def test_sweep_defaults(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.apps == ("dwt",)
-        assert args.emts == ("none", "dream", "secded")
-        assert args.workers == 2
-        assert len(args.voltages) == 9
-
-    def test_sweep_voltage_csv(self):
-        args = build_parser().parse_args(["sweep", "--voltages", "0.5, 0.9"])
-        assert args.voltages == (0.5, 0.9)
 
     def test_chaos_spec_exports_env(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
@@ -89,7 +146,7 @@ class TestCommands:
         assert "DREAM 5, ECC 6" in out
 
     def test_energy(self, capsys):
-        assert main(["energy"]) == 0
+        assert main(["run", str(EXPERIMENTS / "energy_table.toml")]) == 0
         out = capsys.readouterr().out
         assert "paper: ~34%" in out and "paper: ~55%" in out
 
@@ -103,27 +160,28 @@ class TestCommands:
         assert main(["record", "999"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_fig2_small(self, capsys):
-        assert main([
-            "fig2", "--apps", "morphology",
-            "--records", "100", "--duration", "3",
-        ]) == 0
+    def test_fig2_small(self, capsys, tmp_path):
+        path = figure_file(
+            tmp_path,
+            'figure = "fig2"\napps = ["morphology"]\nrecords = ["100"]\n'
+            "duration_s = 3.0\n",
+        )
+        assert main(["run", path]) == 0
         out = capsys.readouterr().out
         assert "stuck-at-1" in out and "stuck-at-0" in out
 
-    def test_fig4_small(self, capsys):
-        assert main([
-            "fig4", "--apps", "morphology", "--records", "100",
-            "--duration", "3", "--runs", "2",
-        ]) == 0
+    def test_fig4_small(self, capsys, tmp_path):
+        assert main(["run", figure_file(tmp_path, FIG4_SMALL)]) == 0
         out = capsys.readouterr().out
         assert "Fig 4.a" in out and "Fig 4.b" in out and "Fig 4.c" in out
 
-    def test_tradeoff_small(self, capsys):
-        assert main([
-            "tradeoff", "--app", "morphology", "--records", "100",
-            "--duration", "3", "--runs", "2", "--tolerance", "40",
-        ]) == 0
+    def test_tradeoff_small(self, capsys, tmp_path):
+        path = figure_file(
+            tmp_path,
+            'figure = "tradeoff"\napp = "morphology"\nrecords = ["100"]\n'
+            "duration_s = 3.0\nruns = 2\ntolerance_db = 40.0\n",
+        )
+        assert main(["run", path]) == 0
         out = capsys.readouterr().out
         assert "Section VI-C" in out
         assert "12.7" in out  # paper-example table is always appended
@@ -138,34 +196,25 @@ class TestCommands:
         assert main(["lifetime", "--emt", "bch"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_mission_small(self, capsys):
-        assert main([
-            "mission", "--scenario", "overnight",
-            "--duration-scale", "0.02", "--probe-runs", "2",
-            "--probe-duration", "2", "--policies",
-            "static:secded@0.65,hysteresis",
-        ]) == 0
+    def test_mission_small(self, capsys, tmp_path):
+        assert main(["run", mission_file(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "scenario 'overnight'" in out
         assert "adaptive-runtime mission" in out
         assert "static:secded@0.65" in out
         assert "hysteresis" in out
 
-    def test_mission_unknown_scenario(self, capsys):
-        assert main(["mission", "--scenario", "mars"]) == 1
+    def test_mission_unknown_scenario(self, capsys, tmp_path):
+        assert main(["run", mission_file(tmp_path, scenario="mars")]) == 1
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_mission_bad_policy_token(self, capsys):
-        assert main([
-            "mission", "--scenario", "overnight", "--policies", "pid",
-        ]) == 1
+    def test_mission_bad_policy_token(self, capsys, tmp_path):
+        path = mission_file(tmp_path, policies='["pid"]')
+        assert main(["run", path]) == 1
         assert "unknown policy" in capsys.readouterr().err
 
-    def test_fig4_seed_changes_output(self, capsys):
-        argv = [
-            "fig4", "--apps", "morphology", "--records", "100",
-            "--duration", "3", "--runs", "2",
-        ]
+    def test_fig4_seed_changes_output(self, capsys, tmp_path):
+        argv = ["run", figure_file(tmp_path, FIG4_SMALL)]
         assert main(["--seed", "7", *argv]) == 0
         seed7 = capsys.readouterr().out
         assert main(["--seed", "7", *argv]) == 0
@@ -175,15 +224,13 @@ class TestCommands:
 
 
 class TestSweep:
-    ARGS = [
-        "sweep", "--apps", "morphology", "--records", "100",
-        "--duration", "3", "--runs", "2", "--workers", "2",
-        "--voltages", "0.55,0.65,0.75,0.85,0.9", "--tolerance", "40",
-    ]
-
     def test_runs_resumes_and_extracts(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))
-        assert main(self.ARGS) == 0
+        argv = ["run", sweep_file(
+            tmp_path, "0.55, 0.65, 0.75, 0.85, 0.9", tolerance_db=40.0,
+            workers=2,
+        )]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "5 points — 5 executed, 0 cached, 0 failed" in out
         assert "15 points — 15 executed, 0 cached, 0 failed" in out
@@ -195,7 +242,7 @@ class TestSweep:
         assert (tmp_path / "sweep-energy.jsonl").exists()
 
         # Second invocation resumes from the store: zero new executions.
-        assert main(self.ARGS) == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "5 points — 0 executed, 5 cached, 0 failed" in out
         assert "15 points — 0 executed, 15 cached, 0 failed" in out
@@ -204,11 +251,7 @@ class TestSweep:
         self, capsys, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))
-        argv = [
-            "sweep", "--apps", "morphology", "--records", "100",
-            "--duration", "3", "--runs", "2",
-            "--voltages", "0.9", "--fresh",
-        ]
+        argv = ["run", sweep_file(tmp_path, "0.9"), "--fresh"]
         assert main(argv) == 0
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -226,11 +269,9 @@ class TestSweep:
         """The energy grid sweeps the workload's app as an axis, so each
         application's operating points use its own workload energy."""
         monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))
-        assert main([
-            "sweep", "--apps", "morphology,dwt", "--records", "100",
-            "--duration", "3", "--runs", "2",
-            "--voltages", "0.9", "--tolerance", "40",
-        ]) == 0
+        assert main(["run", sweep_file(
+            tmp_path, "0.9", apps='["morphology", "dwt"]', tolerance_db=40.0,
+        )]) == 0
         out = capsys.readouterr().out
         # 2 quality points (2 apps x 1 V); 6 energy points (3 EMTs x 1 V
         # x 2 workload apps).
@@ -240,30 +281,33 @@ class TestSweep:
 
     def test_unknown_app_fails_cleanly(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))
-        assert main(["sweep", "--apps", "fft", "--voltages", "0.9"]) == 1
+        assert main(["run", sweep_file(tmp_path, "0.9", apps='["fft"]')]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_missing_baseline_fails_before_the_campaign(
         self, capsys, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))
-        assert main(["sweep", "--emts", "dream,secded"]) == 1
+        stores = tmp_path / "stores"
+        monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(stores))
+        path = sweep_file(tmp_path, "0.9", emts='["dream", "secded"]')
+        assert main(["run", path]) == 1
         assert "baseline 'none'" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())  # nothing ran or was stored
+        assert not stores.exists()  # nothing ran or was stored
 
     def test_growing_app_list_keeps_cached_energy_points(
         self, capsys, tmp_path, monkeypatch
     ):
         """Energy point hashes depend only on their own app's workload,
-        so extending --apps must not invalidate stored energy results."""
+        so extending the app list must not invalidate stored energy
+        results."""
         monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))
-        base = [
-            "sweep", "--records", "100", "--duration", "3", "--runs", "2",
-            "--voltages", "0.9", "--tolerance", "40",
-        ]
-        assert main([*base, "--apps", "dwt"]) == 0
+        assert main(["run", sweep_file(
+            tmp_path, "0.9", apps='["dwt"]', tolerance_db=40.0,
+        )]) == 0
         capsys.readouterr()
-        assert main([*base, "--apps", "dwt,morphology"]) == 0
+        assert main(["run", sweep_file(
+            tmp_path, "0.9", apps='["dwt", "morphology"]', tolerance_db=40.0,
+        )]) == 0
         out = capsys.readouterr().out
         # dwt's 3 energy points resume from the store; morphology's 3 run.
         assert "6 points — 3 executed, 3 cached" in out
@@ -282,11 +326,9 @@ class TestSweep:
 
         monkeypatch.setattr(runner, "evaluate_point", flaky)
         monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))
-        assert main([
-            "sweep", "--apps", "morphology", "--records", "100",
-            "--duration", "3", "--runs", "2", "--workers", "1",
-            "--voltages", "0.85,0.9", "--tolerance", "40",
-        ]) == 1
+        assert main(["run", sweep_file(
+            tmp_path, "0.85, 0.9", tolerance_db=40.0,
+        )]) == 1
         captured = capsys.readouterr()
         assert "analysis skipped" in captured.err
         assert "results above are partial" in captured.err
@@ -306,11 +348,9 @@ class TestSweep:
 
         monkeypatch.setattr(runner, "evaluate_point", flaky)
         monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))
-        assert main([
-            "sweep", "--apps", "morphology", "--records", "100",
-            "--duration", "3", "--runs", "2", "--workers", "1",
-            "--voltages", "0.65,0.75,0.85,0.9", "--tolerance", "40",
-        ]) == 1
+        assert main(["run", sweep_file(
+            tmp_path, "0.65, 0.75, 0.85, 0.9", tolerance_db=40.0,
+        )]) == 1
         captured = capsys.readouterr()
         assert "1 failed" in captured.out
         assert "results above are partial" in captured.err
@@ -322,13 +362,6 @@ class TestSweep:
 
 
 class TestCohortParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["cohort"])
-        assert args.size == 200
-        assert args.policies == ("static", "soc", "hysteresis")
-        assert args.workers == 2
-        assert args.duration_scale == 1.0
-
     def test_cache_flags(self):
         args = build_parser().parse_args(["cache", "--clear"])
         assert args.clear and not args.info
@@ -337,34 +370,30 @@ class TestCohortParser:
 
 
 class TestCohortCommand:
-    ARGS = [
-        "cohort", "--size", "6", "--duration-scale", "0.01",
-        "--policies", "static:secded@0.65,hysteresis",
-        "--probe-runs", "2", "--probe-duration", "2", "--workers", "1",
-    ]
-
-    def test_population_report(self, capsys):
-        assert main(self.ARGS) == 0
+    def test_population_report(self, capsys, tmp_path):
+        assert main(["run", cohort_file(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "population fleet" in out
         assert "battery survival" in out
         assert "Pareto frontier" in out
         assert "static:secded@0.65" in out or "static(" in out
 
-    def test_seed_threads_into_population(self, capsys):
-        assert main(["--seed", "7", *self.ARGS]) == 0
+    def test_seed_threads_into_population(self, capsys, tmp_path):
+        argv = ["run", cohort_file(tmp_path)]
+        assert main(["--seed", "7", *argv]) == 0
         seed7 = capsys.readouterr().out
-        assert main(["--seed", "7", *self.ARGS]) == 0
+        assert main(["--seed", "7", *argv]) == 0
         assert capsys.readouterr().out == seed7  # reproducible
-        assert main(["--seed", "8", *self.ARGS]) == 0
+        assert main(["--seed", "8", *argv]) == 0
         assert capsys.readouterr().out != seed7
 
-    def test_bad_mix_rejected(self, capsys):
-        assert main(["cohort", "--scenarios", "active_day"]) == 1
+    def test_bad_mix_rejected(self, capsys, tmp_path):
+        path = cohort_file(tmp_path, scenarios='"active_day"')
+        assert main(["run", path]) == 1
         assert "name:weight" in capsys.readouterr().err
 
-    def test_bad_policy_rejected_before_running(self, capsys):
-        assert main([*self.ARGS[:-8], "--policies", "pid"]) == 1
+    def test_bad_policy_rejected_before_running(self, capsys, tmp_path):
+        assert main(["run", cohort_file(tmp_path, policies='["pid"]')]) == 1
         assert "unknown policy" in capsys.readouterr().err
 
 
@@ -385,8 +414,8 @@ class TestCacheCommand:
 
 
 class TestGridFailureExitCodes:
-    """`repro sweep`/`repro mission` must exit non-zero when any grid
-    point (or the mission itself) fails."""
+    """`repro run` must exit non-zero when any grid point (or the
+    mission itself, or a cohort patient) fails."""
 
     def test_sweep_failed_points_exit_nonzero(
         self, capsys, tmp_path, monkeypatch
@@ -398,16 +427,12 @@ class TestGridFailureExitCodes:
             raise RuntimeError("injected grid failure")
 
         monkeypatch.setattr(common, "run_monte_carlo", boom)
-        assert main([
-            "sweep", "--apps", "morphology", "--records", "100",
-            "--duration", "3", "--runs", "2", "--workers", "1",
-            "--voltages", "0.9",
-        ]) == 1
+        assert main(["run", sweep_file(tmp_path, "0.9")]) == 1
         err = capsys.readouterr().err
         assert "failed" in err
         assert "injected grid failure" in err
 
-    def test_mission_failure_exits_nonzero(self, capsys, monkeypatch):
+    def test_mission_failure_exits_nonzero(self, capsys, monkeypatch, tmp_path):
         from repro.errors import MissionError
         from repro.runtime import MissionSimulator
 
@@ -415,13 +440,12 @@ class TestGridFailureExitCodes:
             raise MissionError("injected mission failure")
 
         monkeypatch.setattr(MissionSimulator, "run", boom)
-        assert main([
-            "mission", "--scenario", "overnight",
-            "--duration-scale", "0.02",
-        ]) == 1
+        assert main(["run", mission_file(tmp_path)]) == 1
         assert "injected mission failure" in capsys.readouterr().err
 
-    def test_cohort_failed_patients_exit_nonzero(self, capsys, monkeypatch):
+    def test_cohort_failed_patients_exit_nonzero(
+        self, capsys, monkeypatch, tmp_path
+    ):
         import repro.cohort.fleet as fleet_module
         from repro.errors import MissionError
 
@@ -433,10 +457,7 @@ class TestGridFailureExitCodes:
             return original(self, policy)
 
         monkeypatch.setattr(fleet_module.MissionSimulator, "run", flaky)
-        assert main([
-            "cohort", "--size", "4", "--duration-scale", "0.01",
-            "--policies", "hysteresis", "--probe-runs", "2",
-            "--probe-duration", "2", "--workers", "1",
-        ]) == 1
+        path = cohort_file(tmp_path, size=4, policies='["hysteresis"]')
+        assert main(["run", path]) == 1
         err = capsys.readouterr().err
         assert "patients failed" in err or "failed: patient" in err

@@ -132,7 +132,7 @@ class TestReadmeCoverage:
             )
 
     def test_cohort_walkthrough_present(self, readme):
-        assert "repro cohort" in readme
+        assert "repro run examples/experiments/cohort_pilot.toml" in readme
         assert "survival_curve" in readme
         assert "population_frontier" in readme
         assert "examples/cohort_fleet.py" in readme
