@@ -38,7 +38,11 @@ from repro.exp.common import (  # noqa: E402
 )
 from repro.exp.fig2 import run_fig2  # noqa: E402
 from repro.mem.fabric import MemoryFabric  # noqa: E402
-from repro.mem.faults import position_fault_map  # noqa: E402
+from repro.mem.faults import (  # noqa: E402
+    position_fault_map,
+    sample_fault_map,
+    sample_fault_map_batch,
+)
 from repro.runtime.simulator import BatchCalibrator  # noqa: E402
 
 
@@ -125,10 +129,10 @@ def test_probe_calibration_speedup():
 
     This is the unit of work every cold ``repro mission`` / ``repro
     cohort`` / fleet worker pays per (app, segment, operating point);
-    the disk cache only helps the *second* time.  The speedup here is
-    bounded by Monte-Carlo map sampling, which must consume the RNG
-    stream exactly as the sequential loop did (bit-identical results)
-    and is therefore shared by both legs.
+    the disk cache only helps the *second* time.  At this BER every
+    probe holds ~790 faults, close to where the batched sampler returns
+    to the dense stuck-value draw, so the speedup is still bounded by
+    Monte-Carlo map sampling.
     """
     n_probe = _probes()
     calibrator = BatchCalibrator(n_probe=n_probe, probe_duration_s=4.0)
@@ -162,10 +166,11 @@ def test_cold_sweep_speedup():
     multi-error regime — exactly the per-point work a cold sweep pays.
     The sequential leg reconstructs the seed evaluator (fresh app
     instance per point, run-by-run Monte-Carlo loop); the batched leg
-    is the shipped path (cached app, stacked trials and windows).  The
-    grid's own BER(V) profile decides how much of each point is
-    fault-map sampling — shared by both legs, since the batched draws
-    must consume the RNG stream identically to stay bit-identical.
+    is the shipped path (cached app, stacked trials and windows, stuck
+    values read only at failed cells, fault-free trials elided).  The
+    grid's own BER(V) profile decides how much each point saves: the
+    batched leg samples faster wherever a trial holds few faults, and
+    skips the pipeline for all but one fault-free trial per EMT.
     """
     from repro.apps.registry import cached_app
     from repro.campaign.evaluators import grid_seed
@@ -218,6 +223,68 @@ def test_cold_sweep_speedup():
             "voltages": list(voltages),
             "n_runs": config.n_runs,
             "records": list(config.records),
+        },
+    )
+
+
+def test_fault_sampler_speedup():
+    """Stuck-at map sampling: sequential draws vs the batched sampler.
+
+    Both legs consume the same RNG stream and must produce the same
+    masks.  The sequential leg draws a full stuck-value block per trial;
+    the batched one reads stuck values only at the failed cells of
+    trials with few faults.  Scale: 40 trials of the paper's 16,384 x 22
+    SEC/DED array at 0.60 V (~360 faults per trial), 0.75 V (~0.5) and
+    0.90 V (~0.0004).
+    """
+    from repro.energy.technology import TECH_32NM_LP
+
+    n_trials, n_words, word_bits = 40, 16384, 22
+    voltages = (0.6, 0.75, 0.9)
+
+    def draw(sampler):
+        maps = []
+        for voltage in voltages:
+            rng = np.random.default_rng((20160314, round(voltage * 100)))
+            maps.append(sampler(TECH_32NM_LP.ber(voltage), rng))
+        return maps
+
+    def sequential(ber, rng):
+        singles = [
+            sample_fault_map(n_words, word_bits, ber, rng)
+            for _ in range(n_trials)
+        ]
+        return (
+            np.stack([single.set_mask for single in singles]),
+            np.stack([single.clear_mask for single in singles]),
+        )
+
+    def batched(ber, rng):
+        fault_map = sample_fault_map_batch(
+            n_trials, n_words, word_bits, ber, rng
+        )
+        return fault_map.set_mask, fault_map.clear_mask
+
+    seq_maps, seq_s = time_call(lambda: draw(sequential), repeat=2)
+    bat_maps, bat_s = time_call(lambda: draw(batched), repeat=2)
+    for (seq_set, seq_clear), (bat_set, bat_clear) in zip(seq_maps, bat_maps):
+        assert np.array_equal(seq_set, bat_set)
+        assert np.array_equal(seq_clear, bat_clear)
+
+    write_bench(
+        "fault_sampler",
+        metrics={
+            "sequential_s": seq_s,
+            "batched_s": bat_s,
+            "speedup": seq_s / bat_s,
+            "trials_per_s": len(voltages) * n_trials / bat_s,
+        },
+        gate=("speedup",),
+        meta={
+            "n_trials": n_trials,
+            "n_words": n_words,
+            "word_bits": word_bits,
+            "voltages": list(voltages),
         },
     )
 

@@ -20,6 +20,8 @@ trial-batched hot path (see PERFORMANCE.md) — which is bit-identical to
 the historical run-by-run loop (kept as
 :func:`run_monte_carlo_sequential`, the property-test reference) because
 the batched draw consumes the RNG stream in the same per-run order.
+Runs whose map holds no fault for a technique all produce the clean
+output, so :func:`trial_snrs` computes it once and copies it to the rest.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._bitops import bit_mask
 from ..apps.base import BiomedicalApp
 from ..emt.base import EMT
 from ..errors import ExperimentError
 from ..mem.fabric import MemoryFabric
-from ..mem.faults import sample_fault_map, sample_fault_map_batch
+from ..mem.faults import FaultMap, sample_fault_map, sample_fault_map_batch
 from ..mem.layout import PAPER_GEOMETRY, MemoryGeometry
 from ..signals.dataset import load_record
 from ..signals.metrics import SNR_CAP_DB
@@ -45,6 +48,7 @@ __all__ = [
     "load_corpus",
     "run_monte_carlo",
     "run_monte_carlo_sequential",
+    "trial_snrs",
     "validate_registry_names",
 ]
 
@@ -175,15 +179,18 @@ def run_monte_carlo(
     All ``config.n_runs`` defect samples are drawn as one stacked batch
     at the widest stored width among ``emts`` and restricted to each
     technique's width, so all EMTs face the same error locations; every
-    (EMT, record) pair then makes a single trial-batched pipeline pass.
-    The per-run SNR is the application's quality metric averaged over
-    the record corpus; per-EMT statistics are computed over runs,
-    averaging SNRs "in dB" as the paper specifies.
+    (EMT, record) pair then makes a single trial-batched pipeline pass
+    through :func:`trial_snrs`, which runs only the runs whose
+    restricted map holds a fault plus one fault-free run.  The per-run
+    SNR is the application's quality metric averaged over the record
+    corpus; per-EMT statistics are computed over runs, averaging SNRs
+    "in dB" as the paper specifies.
 
     Bit-identical to :func:`run_monte_carlo_sequential` (property-tested
     per EMT x voltage x trial count): the batched draw consumes the RNG
-    stream in the sequential per-run order, and the per-run mean over
-    records reduces the same values along the same axis order.
+    stream in the sequential per-run order, every elided run gets the
+    SNR its fault-free twin computed, and the per-run mean over records
+    reduces the same values along the same axis order.
     """
     if not emts:
         raise ExperimentError("at least one EMT is required")
@@ -193,28 +200,67 @@ def run_monte_carlo(
     shared_maps = sample_fault_map_batch(
         config.n_runs, config.geometry.n_words, widest, ber, rng
     )
+    signals = tuple(corpus.values())
     result = MonteCarloResult(n_runs=config.n_runs)
     for name, emt in emts.items():
-        fault_map = shared_maps.restricted_to(emt.stored_bits)
-        per_record = []
-        for samples in corpus.values():
-            fabric = MemoryFabric(
-                emt,
-                fault_map=fault_map,
-                geometry=config.geometry,
-                collect_decode_stats=False,
-            )
-            outputs = app.run_batch(samples, fabric)
-            per_record.append(
-                app.output_snr_batch(
-                    samples, outputs, cap_db=config.snr_cap_db
-                )
-            )
+        per_record = trial_snrs(
+            app, emt, shared_maps, signals, config.snr_cap_db,
+            config.geometry,
+        )
         # (n_records, n_runs) -> per-run corpus mean, then run statistics.
-        runs = np.mean(np.stack(per_record, axis=0), axis=0)
+        runs = np.mean(per_record, axis=0)
         result.snr_mean_db[name] = float(runs.mean())
         result.snr_std_db[name] = float(runs.std())
     return result
+
+
+def trial_snrs(
+    app: BiomedicalApp,
+    emt: EMT,
+    shared_maps: FaultMap,
+    signals: tuple[np.ndarray, ...],
+    cap_db: float,
+    geometry: MemoryGeometry | None = None,
+) -> np.ndarray:
+    """Per-trial output SNR of ``app`` over ``emt`` for each signal.
+
+    ``shared_maps`` is a batched map at least as wide as the EMT's
+    stored word; trial ``t`` runs against its row restricted to that
+    width.  Returns the ``(len(signals), n_trials)`` SNR block.
+
+    Only trials whose restricted map holds a fault go through the
+    pipeline, plus the first fault-free trial: every fault-free trial
+    produces the same output, so that one row's SNR, computed rather
+    than assumed, fills the others.  The block therefore holds the very
+    floats a full batch would, in the same order.
+    """
+    n_trials = shared_maps.n_trials
+    keep = np.int64(bit_mask(emt.stored_bits))
+    # A trial's restricted map holds a fault iff the OR of all its mask
+    # words meets the kept columns.
+    touched = np.bitwise_or.reduce(
+        shared_maps.set_mask, axis=-1
+    ) | np.bitwise_or.reduce(shared_maps.clear_mask, axis=-1)
+    faulty = (touched & keep) != 0
+    # Each trial reads the result of its own row, or, fault-free, of the
+    # first fault-free trial's row (argmin finds it; unused if none).
+    source = np.where(faulty, np.arange(n_trials), np.argmin(faulty))
+    rows = np.unique(source)
+    expand = np.searchsorted(rows, source)
+    fault_map = shared_maps.restricted_trials(rows, emt.stored_bits)
+    per_signal = []
+    for samples in signals:
+        fabric = MemoryFabric(
+            emt,
+            fault_map=fault_map,
+            geometry=geometry,
+            collect_decode_stats=False,
+        )
+        outputs = app.run_batch(samples, fabric)
+        per_signal.append(
+            app.output_snr_batch(samples, outputs, cap_db=cap_db)[expand]
+        )
+    return np.stack(per_signal, axis=0)
 
 
 def run_monte_carlo_sequential(

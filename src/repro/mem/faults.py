@@ -28,6 +28,12 @@ plus their trial-batched counterparts :func:`sample_fault_map_batch`
 from the same generator — the stacked draw consumes the stream in the
 exact per-trial order) and :func:`position_fault_map_batch` (one trial
 per (position, stuck value) configuration).
+
+The batched sampler does only the work that can change a mask: where a
+trial's failed cells are few, it reads the stuck-value uniforms at those
+cells alone and skips the rest of the PCG64 stream with
+``advance`` — the same doubles, the same end state, a fraction of the
+draws.
 """
 
 from __future__ import annotations
@@ -39,6 +45,14 @@ import numpy as np
 
 from .._bitops import bit_mask, popcount
 from ..errors import MemoryModelError
+
+#: Largest share of a trial's bits that may fail for the stuck values to
+#: be read site by site; above it the whole stuck-value block is drawn.
+#: Skipping to a site costs ~2 us; drawing, comparing and packing a dense
+#: block ~5-6 ns per bit.  At the paper's 16,384 x 22 bits the two break
+#: even near 1,250 sites (2-CPU x86-64, numpy 2.4); 0.3% (~1,080 sites)
+#: keeps to the side where skipping still wins.
+_SPARSE_STUCK_RATIO = 0.003
 
 __all__ = [
     "FaultMap",
@@ -321,6 +335,27 @@ class FaultMap:
             np.bitwise_and(self.clear_mask, keep),
         )
 
+    def restricted_trials(self, rows: np.ndarray, word_bits: int) -> "FaultMap":
+        """Rows ``rows`` of a batched map, restricted to ``word_bits``.
+
+        Equal to ``restricted_to(word_bits)`` followed by taking the
+        rows, but the rows are gathered once and restricted in place, so
+        no full-size restricted copy is ever held beside them.
+        """
+        if not self.is_batched:
+            raise MemoryModelError("trial rows require a batched (2-D) map")
+        if not 1 <= word_bits <= self.word_bits:
+            raise MemoryModelError(
+                f"cannot restrict a {self.word_bits}-bit fault map to "
+                f"{word_bits} bits"
+            )
+        keep = np.int64(bit_mask(word_bits))
+        set_rows = self.set_mask[rows]
+        clear_rows = self.clear_mask[rows]
+        np.bitwise_and(set_rows, keep, out=set_rows)
+        np.bitwise_and(clear_rows, keep, out=clear_rows)
+        return FaultMap._trusted(word_bits, set_rows, clear_rows)
+
     def restricted_to_words(self, start: int, length: int) -> "FaultMap":
         """Keep only the faults inside the word range [start, start+length).
 
@@ -429,10 +464,16 @@ def sample_fault_map_batch(
     Bit-identical to ``n_trials`` sequential :func:`sample_fault_map`
     calls on the same generator: each sequential call consumes two
     ``(n_words, word_bits)`` uniform blocks (failure sites, then stuck
-    values), and numpy fills a ``(n_trials, 2, n_words, word_bits)``
-    request from the same stream in exactly that per-trial order — so
-    trial ``t`` of the batch sees the very doubles the ``t``-th
-    sequential call would have seen (property-tested).
+    values), and the batch consumes the same blocks in the same
+    per-trial order — so trial ``t`` sees the very doubles the ``t``-th
+    sequential call would have seen, and the generator ends in the same
+    state (property-tested).
+
+    The failure-site block is always drawn in full.  For a ``PCG64``
+    generator and a trial whose failed cells are at most
+    :data:`_SPARSE_STUCK_RATIO` of its bits, the stuck-value block is
+    read only at those cells, advancing the stream past the rest; any
+    other trial or generator draws the whole block.
     """
     if n_trials < 1:
         raise MemoryModelError(f"n_trials must be >= 1, got {n_trials}")
@@ -447,20 +488,92 @@ def sample_fault_map_batch(
         zeros = np.zeros((n_trials, n_words), dtype=np.int64)
         return FaultMap._trusted(word_bits, zeros, zeros.copy())
 
-    set_mask = np.empty((n_trials, n_words), dtype=np.int64)
-    clear_mask = np.empty((n_trials, n_words), dtype=np.int64)
-    # Draw and pack per trial: the uniform block of one trial (~2.9 MB
-    # at the paper's geometry) stays cache-resident, where a monolithic
-    # (n_trials, 2, n_words, word_bits) request would transiently hold
+    n_bits = n_words * word_bits
+    bit_generator = rng.bit_generator
+    # Only PCG64 can skip; a trial above the limit draws its whole block.
+    sparse_limit = (
+        int(_SPARSE_STUCK_RATIO * n_bits)
+        if type(bit_generator) is np.random.PCG64
+        else -1
+    )
+    # Skipping ahead clears PCG64's buffered 32-bit half; the dense draw
+    # never touches it, so it is put back once the batch is drawn.
+    pending_half = bit_generator.state if sparse_limit >= 0 else None
+    set_mask = np.zeros((n_trials, n_words), dtype=np.int64)
+    clear_mask = np.zeros((n_trials, n_words), dtype=np.int64)
+    # Draw per trial, block by block, into one reused buffer: one block
+    # (~2.9 MB at the paper's geometry) stays cache-resident, where a
+    # monolithic (n_trials, 2, n_words, word_bits) request would hold
     # >1 GB for a 200-run batch and thrash every level of cache.  The
     # stream is unchanged — numpy fills requests C-order, so per-trial
     # draws consume exactly the doubles the sequential loop consumed.
+    uniforms = np.empty((n_words, word_bits))
+    failed = np.empty((n_words, word_bits), dtype=bool)
     for trial in range(n_trials):
-        draws = rng.random((2, n_words, word_bits))
-        failed = draws[0] < ber
-        stuck_high = draws[1] < 0.5
-        set_mask[trial], clear_mask[trial] = _pack_masks(failed, stuck_high)
+        rng.random(out=uniforms)
+        np.less(uniforms, ber, out=failed)
+        sites = np.flatnonzero(failed)
+        if sites.size <= sparse_limit:
+            _masks_at_sites(
+                sites,
+                _stuck_high_at_sites(rng, sites, n_bits),
+                word_bits,
+                set_mask[trial],
+                clear_mask[trial],
+            )
+        else:
+            rng.random(out=uniforms)
+            set_mask[trial], clear_mask[trial] = _pack_masks(
+                failed, uniforms < 0.5
+            )
+    if pending_half is not None and pending_half["has_uint32"]:
+        state = bit_generator.state
+        state["has_uint32"] = pending_half["has_uint32"]
+        state["uinteger"] = pending_half["uinteger"]
+        bit_generator.state = state
     return FaultMap._trusted(word_bits, set_mask, clear_mask)
+
+
+def _stuck_high_at_sites(
+    rng: np.random.Generator, sites: np.ndarray, n_bits: int
+) -> np.ndarray:
+    """The stuck-value draws of the failed ``sites`` of one block.
+
+    Reads exactly the doubles the dense ``(n_bits,)`` stuck-value block
+    would hold at ``sites`` (ascending flat indices) and leaves the
+    stream at the end of that block: a PCG64 double consumes one 64-bit
+    output, so ``advance(gap)`` skips ``gap`` uniforms without
+    generating them.
+    """
+    advance, draw = rng.bit_generator.advance, rng.random
+    stuck_high = []
+    position = 0
+    for site in sites.tolist():
+        if site > position:
+            advance(site - position)
+        stuck_high.append(draw() < 0.5)
+        position = site + 1
+    if n_bits > position:
+        advance(n_bits - position)
+    return np.array(stuck_high, dtype=bool)
+
+
+def _masks_at_sites(
+    sites: np.ndarray,
+    stuck_high: np.ndarray,
+    word_bits: int,
+    set_row: np.ndarray,
+    clear_row: np.ndarray,
+) -> None:
+    """Write the masks of failed flat bit ``sites`` into zeroed rows.
+
+    The same layout :func:`_pack_masks` builds from the boolean blocks:
+    site ``w * word_bits + j`` is bit ``j`` of word ``w``.
+    """
+    words, bits = np.divmod(sites, word_bits)
+    weights = np.int64(1) << bits
+    np.bitwise_or.at(set_row, words[stuck_high], weights[stuck_high])
+    np.bitwise_or.at(clear_row, words[~stuck_high], weights[~stuck_high])
 
 
 def position_fault_map(

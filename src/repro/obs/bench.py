@@ -108,9 +108,15 @@ def append_history(
 
     Only ``metric``/``gauge`` events are history material (the run
     marker carries no measurement); each is validated, stamped with the
-    git ``revision`` in its attrs, and appended under an exclusive
-    flock so concurrent benchmark processes interleave whole lines.
+    git ``revision`` in its attrs, and appended through
+    :func:`repro.campaign.store.locked_append`: concurrent benchmark
+    processes interleave whole lines, a torn tail left by a killed
+    writer is sealed before the new lines, and no forked child inherits
+    the flock'd descriptor.
     """
+    # Imported here: repro.campaign.store itself imports repro.obs.
+    from ..campaign.store import locked_append
+
     target = Path(path) if path is not None else default_history_path()
     stamp = revision if revision is not None else git_revision()
     lines: list[str] = []
@@ -128,15 +134,7 @@ def append_history(
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     if not lines:
         return target
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "a", encoding="utf-8") as handle:
-        try:
-            import fcntl
-
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        except (ImportError, OSError):  # pragma: no cover - non-POSIX
-            pass
-        handle.write("".join(lines))
+    locked_append(target, "".join(lines).encode("utf-8"))
     return target
 
 

@@ -52,7 +52,7 @@ from ..energy.accounting import EnergySystemModel
 from ..energy.battery import BatteryState
 from ..energy.technology import TECH_32NM_LP, Technology
 from ..errors import MissionError
-from ..exp.common import validate_registry_names
+from ..exp.common import trial_snrs, validate_registry_names
 from ..mem.fabric import MemoryFabric
 from ..mem.faults import sample_fault_map, sample_fault_map_batch
 from ..signals.dataset import CATALOG, synthesize_record
@@ -162,7 +162,10 @@ class BatchCalibrator:
     pipeline stage.  The (mean, std) it returns is bit-identical to the
     sequential loop (property-tested), so disk-cache entries written by
     either implementation are interchangeable — and the cache *keys*
-    never see the implementation at all.
+    never see the implementation at all.  Like
+    :func:`~repro.exp.common.run_monte_carlo` it goes through
+    :func:`~repro.exp.common.trial_snrs`: only probes whose map holds a
+    fault, plus one fault-free probe, run the pipeline.
 
     Args:
         n_probe: fault-injection probes per quality model.
@@ -212,11 +215,7 @@ class BatchCalibrator:
             self.n_probe, _PROBE_WORDS, emt.stored_bits,
             min(ber, _MAX_BER), rng,
         )
-        fabric = MemoryFabric(
-            emt, fault_map=fault_map, collect_decode_stats=False
-        )
-        outputs = app.run_batch(samples, fabric)
-        snrs = app.output_snr_batch(samples, outputs, cap_db=self.snr_cap_db)
+        snrs = trial_snrs(app, emt, fault_map, (samples,), self.snr_cap_db)[0]
         return float(snrs.mean()), float(snrs.std())
 
     def calibrate_sequential(

@@ -78,6 +78,21 @@ def test_load_skips_torn_and_alien_lines(tmp_path):
     assert [event["name"] for event in loaded] == ["cold_s"]
 
 
+def test_append_seals_a_torn_tail(tmp_path):
+    """A writer killed mid-line must not swallow the next append."""
+    history = tmp_path / "hist.jsonl"
+    good = json.dumps(_gauge("cold_s", 1.5))
+    history.write_text(good + "\n" + good[: len(good) // 2], encoding="utf-8")
+    bench.append_history(
+        [_gauge("warm_s", 0.5), _gauge("speedup", 3.0)],
+        path=history, revision="abc",
+    )
+    loaded = bench.load_history(history)
+    assert [event["name"] for event in loaded] == [
+        "cold_s", "warm_s", "speedup",
+    ]
+
+
 def test_missing_history_is_empty(tmp_path):
     assert bench.load_history(tmp_path / "nope.jsonl") == []
 
