@@ -8,7 +8,10 @@ exactly what ``repro serve`` runs, minus the CLI wrapper):
   every interactive ``repro submit`` pays on an idle daemon;
 * a burst of unique campaign jobs against a multi-worker daemon —
   jobs/s from first submit to last terminal state, with the results
-  landing in sharded stores (>= 2 shards exercised across the burst).
+  landing in sharded stores (>= 2 shards exercised across the burst);
+* 10,000 in-process job lifecycles (submit -> claimed -> running ->
+  done) on one long-lived :class:`~repro.service.queue.JobQueue` — the
+  journal's per-operation cost, which must not grow with its history.
 
 Both legs assert correctness (all jobs ``done``, every record
 readable back) before recording numbers; the throughput is gated in
@@ -36,6 +39,7 @@ from repro.campaign.spec import CampaignSpec  # noqa: E402
 from repro.campaign.store import ResultStore, SHARDS_ENV  # noqa: E402
 from repro.service import (  # noqa: E402
     ExperimentService,
+    JobQueue,
     ServiceClient,
     campaign_job_payload,
 )
@@ -184,5 +188,51 @@ def test_burst_throughput(tmp_path):
             "workers": workers,
             "shards": 2,
             "points_per_job": 2,
+        },
+    )
+
+
+def test_journal_lifecycles(tmp_path):
+    """10,000 job lifecycles on one long-lived queue, timed per 1,000.
+
+    Every lifecycle is a submission (full record, payload included) and
+    three delta transitions, each preceded by the ``get`` the queue
+    does itself.  ``last_to_first`` compares the last 1,000 lifecycles'
+    time with the first 1,000's: near 1 when the cost per operation is
+    flat, growing with the history when reads re-parse the journal.
+    """
+    n_lifecycles, block = 10_000, 1_000
+    spec = _tiny_spec(0)
+    payload = campaign_job_payload(
+        spec, spec.expand(), spec.name, str(tmp_path / "stores")
+    )
+    queue = JobQueue(tmp_path / "root")
+    blocks = []
+    started = time.perf_counter()
+    for first in range(0, n_lifecycles, block):
+        block_started = time.perf_counter()
+        for index in range(first, first + block):
+            job_id = f"lifecycle-{index:05d}"
+            queue.submit(job_id, "campaign", payload, name=spec.name)
+            queue.mark(job_id, "claimed", owner_pid=1)
+            queue.mark(job_id, "running", owner_pid=2)
+            queue.mark(job_id, "done", result={"status": "ok"})
+        blocks.append(time.perf_counter() - block_started)
+    elapsed = time.perf_counter() - started
+    assert len(queue) == n_lifecycles
+    assert not queue.pending()
+
+    write_bench(
+        "journal_lifecycles",
+        metrics={
+            "lifecycles_per_s": n_lifecycles / elapsed,
+            "total_s": elapsed,
+            "last_to_first": blocks[-1] / blocks[0],
+        },
+        gate=("lifecycles_per_s",),
+        meta={
+            "lifecycles": n_lifecycles,
+            "block": block,
+            "journal_bytes": queue.path.stat().st_size,
         },
     )

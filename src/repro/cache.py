@@ -54,6 +54,7 @@ from typing import Any
 from . import obs
 from .campaign.spec import content_hash
 from .errors import ReproError
+from .journal import Journal, locked_append
 
 __all__ = [
     "CacheStats",
@@ -260,11 +261,7 @@ class DiskCache:
         times was this computed" audit), ``"hit"`` (a disk-layer read;
         at most one per entry per process — the memory layer absorbs
         repeats), or ``"clear"`` (an eviction of the whole cache).
-        Appends go through :func:`repro.campaign.store.locked_append`,
-        which seals a crashed writer's torn tail before writing.
         """
-        from .campaign.store import locked_append
-
         record: dict[str, Any] = {"event": kind, "pid": os.getpid()}
         if digest is not None:
             record["hash"] = digest
@@ -325,18 +322,10 @@ def _read_events(root: Path | str | None) -> list[dict]:
     the log carried an ``event`` key are computations — the only kind
     the log recorded then.
     """
-    from .campaign.store import read_jsonl
-
-    events_path = (
-        Path(root) if root is not None else default_cache_root()
-    ) / "events.jsonl"
-    return [
-        record
-        for record in read_jsonl(
-            events_path, lambda record: isinstance(record, dict)
-        )
-        if record is not None
-    ]
+    root = Path(root) if root is not None else default_cache_root()
+    return Journal(
+        root / "events.jsonl", lambda record: isinstance(record, dict)
+    ).read()
 
 
 def computed_events(root: Path | str | None = None) -> list[str]:

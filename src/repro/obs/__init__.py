@@ -102,6 +102,7 @@ from .registry import (
 )
 from .report import (
     RESILIENCE_COUNTERS,
+    TraceTail,
     load_events,
     load_trace,
     metric_series,
@@ -111,7 +112,7 @@ from .report import (
     span_totals,
     summarize,
 )
-from .watch import TraceTail, WatchState, render_frame, watch
+from .watch import WatchState, render_frame, watch
 
 __all__ = [
     # core
@@ -163,6 +164,7 @@ __all__ = [
     "validate_event",
     # report
     "RESILIENCE_COUNTERS",
+    "TraceTail",
     "load_trace",
     "load_events",
     "resolve_trace",
@@ -179,7 +181,6 @@ __all__ = [
     "host_metadata",
     "pid_alive",
     # watch
-    "TraceTail",
     "WatchState",
     "render_frame",
     "watch",

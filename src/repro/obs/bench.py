@@ -15,8 +15,8 @@ not just single-run cliffs.
 History lines are ordinary schema gauge events (:mod:`.events`) with
 the revision added as ``attrs["git"]`` — the same one-object-per-line
 discipline as traces and the run registry.  Like the registry, the
-history is *operational* state: a torn trailing line (concurrent
-append, kill mid-write) is skipped, not fatal.
+history is *operational* state: a torn line (a writer killed
+mid-append) is quarantined by :class:`repro.journal.Journal`, not fatal.
 
 Drift verdicts are pure arithmetic over the committed points — same
 file in, bit-identical verdict out — which is what lets a committed
@@ -33,6 +33,7 @@ from pathlib import Path
 from statistics import median
 from typing import Any
 
+from ..journal import Journal, locked_append
 from .events import validate_event
 
 __all__ = [
@@ -108,15 +109,9 @@ def append_history(
 
     Only ``metric``/``gauge`` events are history material (the run
     marker carries no measurement); each is validated, stamped with the
-    git ``revision`` in its attrs, and appended through
-    :func:`repro.campaign.store.locked_append`: concurrent benchmark
-    processes interleave whole lines, a torn tail left by a killed
-    writer is sealed before the new lines, and no forked child inherits
-    the flock'd descriptor.
+    git ``revision`` in its attrs, and appended in one
+    :func:`repro.journal.locked_append`.
     """
-    # Imported here: repro.campaign.store itself imports repro.obs.
-    from ..campaign.store import locked_append
-
     target = Path(path) if path is not None else default_history_path()
     stamp = revision if revision is not None else git_revision()
     lines: list[str] = []
@@ -141,29 +136,20 @@ def append_history(
 def load_history(path: Path | str | None = None) -> list[dict]:
     """The history's gauge events in append order (missing file = empty).
 
-    Torn or malformed lines are skipped — the history is operational
-    state appended by concurrent processes, and one interrupted write
-    must not wedge every future trend read.
+    Torn or malformed lines are quarantined, not fatal: one interrupted
+    write must not wedge every future trend read.
     """
     source = Path(path) if path is not None else default_history_path()
-    if not source.exists():
-        return []
-    events: list[dict] = []
-    for line in source.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if (
-            isinstance(event, dict)
-            and event.get("event") == "metric"
-            and event.get("kind") == "gauge"
-            and not validate_event(event)
-        ):
-            events.append(event)
-    return events
+    return Journal(source, _history_event).read()
+
+
+def _history_event(event: Any) -> bool:
+    return (
+        isinstance(event, dict)
+        and event.get("event") == "metric"
+        and event.get("kind") == "gauge"
+        and not validate_event(event)
+    )
 
 
 def history_series(

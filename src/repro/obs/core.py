@@ -58,6 +58,7 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import ObsError
+from ..journal import locked_append
 from .events import histogram_summary, metric_event, run_event, span_event
 
 __all__ = [
@@ -482,15 +483,7 @@ class _Tracer:
             for event in self._buffer
         )
         self._buffer.clear()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            try:
-                import fcntl
-
-                fcntl.flock(handle, fcntl.LOCK_EX)
-            except (ImportError, OSError):  # pragma: no cover - non-POSIX
-                pass
-            handle.write(payload)
+        locked_append(self.path, payload.encode("utf-8"))
 
 
 # -- module state ----------------------------------------------------------

@@ -16,27 +16,27 @@ list, filter, tail and *compare* runs without opening any trace:
   machine delta (the cross-device-comparability requirement of the
   Samakovlis et al. benchmarking methodology).
 
-Writes follow the tracer's discipline: one ``flock``-serialised append
-per record, last record per run id wins on load (``register`` then
-``finalize`` appends two records; a re-run appends a fresh pair).
-Unlike a trace — where a malformed event is a hard error — a torn
-registry line (a run killed mid-append) is *skipped* on load: the
-registry is operational state, and a crashed run must never brick
-``repro runs`` for every run that came after it.
+The file is a :class:`repro.journal.Journal`: one record per line, the
+last per run id wins (``register`` then ``finalize`` appends two full
+records; a re-run appends a fresh pair).  Unlike a trace — where a
+malformed event is a hard error — a torn registry line (a run killed
+mid-append) is *quarantined* on load: the registry is operational
+state, and a crashed run must never brick ``repro runs`` for every run
+that came after it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 from ..errors import ObsError
+from ..journal import Journal
 
 __all__ = [
     "REGISTRY_BASENAME",
@@ -246,14 +246,12 @@ class RunRegistry:
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.path = self.root / REGISTRY_BASENAME
+        self.journal = Journal(self.path, _valid_line, key="run_id")
 
     # -- writes ------------------------------------------------------------
 
     def _append(self, record: RunRecord) -> RunRecord:
-        from ..campaign.store import locked_append
-
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-        locked_append(self.path, line.encode("utf-8"))
+        self.journal.append([record.to_dict()])
         return record
 
     def register(
@@ -320,30 +318,19 @@ class RunRegistry:
                 "finalize status must be 'ok', 'failed' or 'interrupted',"
                 f" got {status!r}"
             )
-        previous = self.get(run_id)
-        base = (
-            previous
-            if previous is not None
-            else RunRecord(run_id=run_id, host=host_metadata())
+        base = self.get(run_id) or RunRecord(
+            run_id=run_id, host=host_metadata()
         )
-        ended = time.time() if ended_at is None else ended_at
         return self._append(
-            RunRecord(
-                run_id=run_id,
-                name=base.name,
-                kind=base.kind,
-                spec_digest=base.spec_digest,
+            replace(
+                base,
                 status=status,
-                started_at=base.started_at,
-                ended_at=ended,
+                ended_at=time.time() if ended_at is None else ended_at,
                 wall_s=wall_s,
-                trace_path=base.trace_path,
-                host=dict(base.host),
                 metrics=dict(metrics or {}),
                 error=error,
                 peak_rss_bytes=peak_rss_bytes,
                 cpu_s=cpu_s,
-                pid=base.pid,
             )
         )
 
@@ -353,27 +340,17 @@ class RunRegistry:
         """All runs, keyed by run id — the last record per id wins.
 
         Unparsable or structurally invalid lines (torn writes from
-        killed processes) are skipped, not fatal.
+        killed processes) are quarantined, not fatal.
         """
-        if not self.path.is_file():
-            return {}
-        runs: dict[str, RunRecord] = {}
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not _valid_line(payload):
-                continue
-            record = RunRecord.from_dict(payload)
-            runs[record.run_id] = record
-        return runs
+        return {
+            run_id: RunRecord.from_dict(line)
+            for run_id, line in self.journal.load().items()
+        }
 
     def get(self, run_id: str) -> RunRecord | None:
         """The latest record of one run, or ``None``."""
-        return self.load().get(run_id)
+        line = self.journal.get(run_id)
+        return RunRecord.from_dict(line) if line is not None else None
 
     def runs(
         self,

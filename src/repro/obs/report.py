@@ -9,8 +9,10 @@ worker-utilization table, cache hit rates, and the top-N slowest spans —
 from one pass over the events.
 
 Every line is validated against the schema contract on load; a
-malformed event is a hard :class:`~repro.errors.ObsError`, which is how
+malformed event is a hard :class:`~repro.errors.ObsError` naming its
+line (the :data:`~repro.journal.RAISE` torn-line policy), which is how
 ``repro report`` turns a corrupt trace into a non-zero exit in CI.
+:class:`TraceTail` reads a live sink the same way, incrementally.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import ObsError
+from ..journal import RAISE, Journal, TornLineError
 from .events import validate_event
 
 __all__ = [
+    "TraceTail",
     "load_trace",
     "load_events",
     "resolve_trace",
@@ -34,31 +38,44 @@ __all__ = [
 ]
 
 
+def _valid_event(event: Any) -> bool:
+    problems = validate_event(event)
+    if problems:
+        raise ValueError("malformed trace event: " + "; ".join(problems))
+    return True
+
+
+class TraceTail:
+    """Incremental reader of a growing JSONL trace sink.
+
+    :meth:`poll` returns the complete lines appended since the last
+    poll, holding back a line whose newline has not arrived yet; a sink
+    a re-run truncated or rewrote is re-read from the top.  A malformed
+    line is a hard :class:`~repro.errors.ObsError` naming its line — a
+    trace that lies is worse than no trace.
+    """
+
+    def __init__(self, path: Path | str) -> None:
+        self.path = Path(path)
+        self._journal = Journal(self.path, _valid_event, torn=RAISE)
+
+    def poll(self, final: bool = False) -> list[dict]:
+        """Validated events appended since the last poll (maybe empty);
+        ``final`` also parses an unterminated last line."""
+        try:
+            return self._journal.read(final)
+        except TornLineError as exc:
+            raise ObsError(str(exc)) from exc
+
+
 def load_trace(path: Path | str) -> list[dict]:
     """Parse and validate a JSONL trace; raises ObsError on any bad line."""
-    events: list[dict] = []
     source = Path(path)
     try:
-        text = source.read_text(encoding="utf-8")
+        source.stat()
+        return TraceTail(source).poll(final=True)
     except OSError as exc:
         raise ObsError(f"cannot read trace {source}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObsError(
-                f"{source}:{lineno}: not valid JSON: {exc}"
-            ) from exc
-        problems = validate_event(payload)
-        if problems:
-            raise ObsError(
-                f"{source}:{lineno}: malformed trace event: "
-                + "; ".join(problems)
-            )
-        events.append(payload)
-    return events
 
 
 def load_events(path: Path | str) -> list[dict]:

@@ -24,21 +24,16 @@ a clear note and exit code 2 instead of hanging forever.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
-from ..errors import ObsError
 from .alerts import AlertRule, breached, evaluate_rules, render_outcomes
-from .events import validate_event
-from .report import RESILIENCE_COUNTERS, metric_series, summarize
+from .report import RESILIENCE_COUNTERS, TraceTail, metric_series, summarize
 
 __all__ = [
-    "TraceTail",
     "WatchState",
     "render_frame",
     "watch",
@@ -57,60 +52,6 @@ _STRAGGLER_S = 20.0
 #: The event stream must be quiet for this long before a dead-owner
 #: verdict ends the watch — dying workers may still be flushing.
 _DEAD_QUIET_S = 3.0
-
-
-class TraceTail:
-    """Incremental reader of a growing JSONL trace sink.
-
-    Tracks a byte offset into the file and returns only the *complete*
-    lines appended since the previous :meth:`poll`; a trailing line
-    with no newline yet (a writer mid-append) stays unread until it is
-    finished.  A file that shrank (a re-run truncating the sink) resets
-    the offset and re-reads from the top.  A complete but malformed
-    line is a hard :class:`~repro.errors.ObsError`, exactly as in
-    ``repro report`` — a trace that lies is worse than no trace.
-    """
-
-    def __init__(self, path: Path | str) -> None:
-        self.path = Path(path)
-        self._offset = 0
-
-    def poll(self) -> list[dict]:
-        """Validated events appended since the last poll (maybe empty)."""
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return []
-        if size < self._offset:
-            self._offset = 0
-        if size == self._offset:
-            return []
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            chunk = handle.read()
-        cut = chunk.rfind(b"\n")
-        if cut < 0:
-            return []
-        self._offset += cut + 1
-        events: list[dict] = []
-        for raw in chunk[: cut + 1].splitlines():
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ObsError(
-                    f"{self.path}: not valid JSON while tailing: {exc}"
-                ) from exc
-            problems = validate_event(payload)
-            if problems:
-                raise ObsError(
-                    f"{self.path}: malformed trace event: "
-                    + "; ".join(problems)
-                )
-            events.append(payload)
-        return events
 
 
 class WatchState:

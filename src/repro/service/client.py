@@ -21,7 +21,7 @@ from ..api.schema import Experiment, load_experiment
 from ..api.session import Session
 from ..errors import ServiceError
 from ..obs.registry import pid_alive
-from ..obs.watch import TraceTail
+from ..obs.report import TraceTail
 from .daemon import (
     ExperimentService,
     SOCKET_BASENAME,

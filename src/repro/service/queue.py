@@ -1,14 +1,12 @@
 """The durable job queue behind the experiment service.
 
-One append-only JSONL journal (``<service root>/jobs.jsonl``) records
-every state transition of every job the daemon ever accepted.  The
-write discipline is PR 9's crash-consistency contract, shared with the
-campaign result store through :func:`repro.campaign.store.locked_append`:
-one ``flock``-serialised append per transition, a torn tail (a writer
-killed mid-line) is sealed by the next append and quarantined on load,
-and the *last* record per job id wins — so the journal is both the
-queue and its own audit log, and a SIGKILLed daemon loses at most the
-single transition it was writing.
+One append-only JSONL journal (``<service root>/jobs.jsonl``), a
+:class:`repro.journal.Journal` under the quarantine torn-line policy,
+records every state transition of every job the daemon ever accepted —
+so it is both the queue and its own audit log, and a SIGKILLed daemon
+loses at most the single transition it was writing.  A submission
+appends the full record; a transition appends a *delta line* without
+the payload (see ``docs/service.md``).  The fold merges per job id.
 
 Job lifecycle::
 
@@ -28,14 +26,13 @@ and ``cancelled`` jobs are re-queued by a resubmission.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from ..campaign.store import locked_append, read_jsonl
 from ..errors import ServiceError
+from ..journal import Journal
 from ..obs.registry import pid_alive
 
 __all__ = [
@@ -59,6 +56,12 @@ JOB_KINDS = ("experiment", "campaign")
 
 #: The journal file's name inside a service root directory.
 JOURNAL_BASENAME = "jobs.jsonl"
+
+#: The fields a transition's delta line carries.
+_DELTA_FIELDS = (
+    "job_id", "status", "submitted_at", "updated_at", "requeues",
+    "owner_pid", "error", "result",
+)
 
 
 @dataclass(frozen=True)
@@ -159,26 +162,29 @@ def _valid_line(payload: Any) -> bool:
     )
 
 
+def _merge(previous: dict | None, line: dict) -> dict:
+    """A full record replaces the job; a delta line updates it."""
+    return line if "payload" in line else {**(previous or {}), **line}
+
+
 class JobQueue:
     """The durable job journal of one service root directory.
 
-    Every mutation is one locked append; reads fold the journal with
-    last-record-per-job-id-wins semantics.  Multiple processes may read
-    concurrently with the daemon's writes (``repro jobs`` works with
-    the daemon down or mid-write); writes are expected from the daemon
-    and — for offline cancellation — a client holding the same root.
+    Every mutation is one locked append; reads fold the journal per
+    job id.  Multiple processes may read concurrently with the daemon's
+    writes (``repro jobs`` works with the daemon down or mid-write);
+    writes are expected from the daemon and — for offline cancellation
+    — a client holding the same root.
     """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.path = self.root / JOURNAL_BASENAME
+        self.journal = Journal(
+            self.path, _valid_line, key="job_id", merge=_merge
+        )
 
     # -- writes ------------------------------------------------------------
-
-    def _append(self, record: JobRecord) -> JobRecord:
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-        locked_append(self.path, line.encode("utf-8"))
-        return record
 
     def submit(
         self,
@@ -221,7 +227,8 @@ class JobQueue:
             requeues=existing.requeues if existing is not None else 0,
             meta=dict(meta or {}),
         )
-        return self._append(record), True
+        self.journal.append([record.to_dict()])
+        return record, True
 
     def mark(
         self,
@@ -232,7 +239,7 @@ class JobQueue:
         result: dict[str, Any] | None = None,
         requeued: bool = False,
     ) -> JobRecord:
-        """Append a state transition, carrying identity fields forward."""
+        """Append a state transition as a delta line."""
         if status not in JOB_STATUSES:
             raise ServiceError(
                 f"job status must be one of {JOB_STATUSES}, got {status!r}"
@@ -240,17 +247,19 @@ class JobQueue:
         previous = self.get(job_id)
         if previous is None:
             raise ServiceError(f"unknown job id {job_id!r}")
-        return self._append(
-            replace(
-                previous,
-                status=status,
-                updated_at=time.time(),
-                owner_pid=owner_pid,
-                error=error,
-                result=result,
-                requeues=previous.requeues + (1 if requeued else 0),
-            )
+        record = replace(
+            previous,
+            status=status,
+            updated_at=time.time(),
+            owner_pid=owner_pid,
+            error=error,
+            result=result,
+            requeues=previous.requeues + (1 if requeued else 0),
         )
+        self.journal.append(
+            [{name: getattr(record, name) for name in _DELTA_FIELDS}]
+        )
+        return record
 
     def cancel(self, job_id: str) -> JobRecord:
         """Cancel a job that has not started; terminal is idempotent.
@@ -295,22 +304,21 @@ class JobQueue:
     # -- reads -------------------------------------------------------------
 
     def load(self) -> dict[str, JobRecord]:
-        """All jobs, keyed by job id — the last record per id wins.
+        """All jobs, keyed by job id.
 
         Torn or structurally invalid lines are quarantined (to
         ``jobs.jsonl.quarantine``) and skipped, never fatal — a killed
         writer must not brick the queue.
         """
-        jobs: dict[str, JobRecord] = {}
-        for payload in read_jsonl(self.path, _valid_line):
-            if payload is not None:
-                record = JobRecord.from_dict(payload)
-                jobs[record.job_id] = record
-        return jobs
+        return {
+            job_id: JobRecord.from_dict(line)
+            for job_id, line in self.journal.load().items()
+        }
 
     def get(self, job_id: str) -> JobRecord | None:
         """The latest record of one job, or ``None``."""
-        return self.load().get(job_id)
+        line = self.journal.get(job_id)
+        return JobRecord.from_dict(line) if line is not None else None
 
     def jobs(
         self,
@@ -339,9 +347,9 @@ class JobQueue:
     def pending(self) -> list[JobRecord]:
         """Queued jobs in dispatch order: priority, then age, then id."""
         queued = [
-            record
-            for record in self.load().values()
-            if record.status == "queued"
+            JobRecord.from_dict(line)
+            for line in self.journal.load().values()
+            if line["status"] == "queued"
         ]
         queued.sort(
             key=lambda record: (
@@ -359,4 +367,4 @@ class JobQueue:
         )
 
     def __len__(self) -> int:
-        return len(self.load())
+        return len(self.journal.load())

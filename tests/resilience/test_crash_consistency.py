@@ -20,10 +20,11 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.cache import DiskCache, computed_events
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
-from repro.campaign.store import locked_append, quarantine_torn_lines
 from repro.errors import CampaignError
+from repro.journal import locked_append, quarantine_torn_lines
 from repro.resilience import chaos_draw
 
 GOOD = {
@@ -182,7 +183,7 @@ class TestForkDuringAppend:
             monkeypatch.undo()
             script = (
                 "import sys; from pathlib import Path; "
-                "from repro.campaign.store import locked_append; "
+                "from repro.journal import locked_append; "
                 "locked_append(Path(sys.argv[1]), b'{\"b\": 2}\\n')"
             )
             subprocess.run(
@@ -196,3 +197,58 @@ class TestForkDuringAppend:
         assert [json.loads(line) for line in path.read_text().splitlines()] == [
             {"a": 1}, {"b": 2},
         ]
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_fork_mid_trace_flush_does_not_inherit_the_file_lock(
+        self, tmp_path, monkeypatch
+    ):
+        """The same for a trace sink: a child forked while another
+        thread flushes the tracer must not hold the sink's lock."""
+        sink = tmp_path / "trace.jsonl"
+        obs.enable(sink, run_id="fork-flush")
+        inside = threading.Event()
+        release = threading.Event()
+        real_fstat = os.fstat
+
+        def blocking_fstat(fd):
+            if threading.current_thread().name == "flusher":
+                inside.set()
+                release.wait(10)
+            return real_fstat(fd)
+
+        def flush():
+            obs.counter("flushed", 1)
+            obs.flush()
+
+        try:
+            monkeypatch.setattr(os, "fstat", blocking_fstat)
+            flusher = threading.Thread(target=flush, name="flusher")
+            flusher.start()
+            assert inside.wait(10)
+            threading.Timer(0.5, release.set).start()
+            pid = os.fork()
+            if pid == 0:  # child: outlive the fresh append below
+                time.sleep(30)
+                os._exit(0)
+            try:
+                flusher.join(10)
+                assert not flusher.is_alive()
+                monkeypatch.undo()
+                script = (
+                    "import sys; from pathlib import Path; "
+                    "from repro.journal import locked_append; "
+                    "locked_append(Path(sys.argv[1]), b'{\"b\": 2}\\n')"
+                )
+                subprocess.run(
+                    [sys.executable, "-c", script, str(sink)],
+                    check=True, timeout=5,
+                )
+                assert os.waitpid(pid, os.WNOHANG) == (0, 0)  # child alive
+            finally:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        finally:
+            monkeypatch.undo()
+            obs.disable()
+        lines = sink.read_text().splitlines()
+        assert {"b": 2} in [json.loads(line) for line in lines]
