@@ -1,10 +1,25 @@
-"""Setup shim enabling editable installs in offline environments.
+"""Package metadata for the ``repro`` library (``src/repro``).
 
-The modern PEP 660 editable path requires the ``wheel`` package, which is
-not available in this offline environment; ``setup.py develop`` is not
-subject to that requirement.  All real metadata lives in pyproject.toml.
+There is no ``pyproject.toml``: this file is the whole declaration.
+``python setup.py develop`` gives an editable install without the
+``wheel`` package that PEP 660 editable installs require.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -28,7 +28,6 @@ field); register custom backends (e.g. a remote executor) with
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -36,10 +35,15 @@ from pathlib import Path
 from typing import Any
 
 from .. import obs
-from ..campaign.runner import CampaignResult, ProgressFn, run_campaign
+from ..campaign.runner import (
+    CampaignResult,
+    ProgressFn,
+    run_campaign,
+    run_metrics,
+)
 from ..campaign.spec import CampaignSpec
 from ..campaign.store import ResultStore
-from ..errors import ExperimentError, ExperimentSpecError, RunInterrupted
+from ..errors import ExperimentError, ExperimentSpecError
 from . import serde
 from .results import CampaignRun, ResultHandle
 from .schema import (
@@ -820,131 +824,67 @@ class Session:
         backend = make_backend(backend_name, workers)
         resume = not (self.fresh if fresh is None else fresh)
 
-        run_id = self.run_id_for(experiment)
-        owns_trace = obs.start_run(
-            run_id,
+        runs: list[CampaignRun] = []
+        with obs.run_lifecycle(
+            self.run_id_for(experiment),
             name=experiment.name,
+            kind=experiment.kind,
+            spec_digest=experiment.content_hash(),
             attrs={
                 "kind": experiment.kind,
                 "backend": backend_name,
                 "workers": workers,
             },
-        )
-        traced = obs.enabled()
-        trace_path = obs.trace_path()
-        trace_run = obs.trace_run_id()
-
-        # A run that opened its own trace sink also registers in the
-        # run registry beside it: `repro runs` lists it immediately
-        # (status `running`), and the finalize below flips it to its
-        # terminal state with wall time and headline metrics.
-        registry = None
-        registry_id = trace_run or run_id
-        if owns_trace and traced and trace_path is not None:
-            registry = obs.RunRegistry(Path(trace_path).parent)
-            registry.register(
-                registry_id,
-                name=experiment.name,
-                kind=experiment.kind,
-                spec_digest=experiment.content_hash(),
-                trace_path=trace_path,
-            )
-
-        status = "ok"
-        error_text: str | None = None
-        runs: list[CampaignRun] = []
-        started = time.perf_counter()
-        cpu_started = time.process_time()
-        try:
-            with obs.span(
-                "session.run",
-                experiment=experiment.name,
-                kind=experiment.kind,
-                backend=backend_name,
-                workers=workers,
-            ):
-                for planned in plan.campaigns:
-                    store = self._store_for(planned.store_name)
-                    progress = self._progress_for(
-                        experiment, planned, on_progress
-                    )
-                    if (
-                        planned.intra_point_hint
-                        and workers > 1
-                        and self._explicit_backend(experiment) is None
+        ) as lifecycle, obs.span(
+            "session.run",
+            experiment=experiment.name,
+            kind=experiment.kind,
+            backend=backend_name,
+            workers=workers,
+        ):
+            # Metrics cover every campaign finished so far.
+            lifecycle.metrics.update(run_metrics([]))
+            for planned in plan.campaigns:
+                store = self._store_for(planned.store_name)
+                progress = self._progress_for(
+                    experiment, planned, on_progress
+                )
+                if (
+                    planned.intra_point_hint
+                    and workers > 1
+                    and self._explicit_backend(experiment) is None
+                ):
+                    # Fan out *inside* each point (e.g. a cohort's
+                    # patients across processes) rather than across
+                    # the few points: the campaign itself runs inline
+                    # so the hint stays in this process, and results
+                    # are bit-identical.
+                    with evaluation_hints(
+                        **{planned.intra_point_hint: workers}
                     ):
-                        # Fan out *inside* each point (e.g. a cohort's
-                        # patients across processes) rather than across
-                        # the few points: the campaign itself runs
-                        # inline so the hint stays in this process, and
-                        # results are bit-identical.
-                        with evaluation_hints(
-                            **{planned.intra_point_hint: workers}
-                        ):
-                            result = InlineBackend().execute(
-                                planned.spec, store=store, resume=resume,
-                                progress=progress,
-                            )
-                    else:
-                        result = backend.execute(
+                        result = InlineBackend().execute(
                             planned.spec, store=store, resume=resume,
                             progress=progress,
                         )
-                    runs.append(
-                        CampaignRun(planned.role, planned.spec, result, store)
+                else:
+                    result = backend.execute(
+                        planned.spec, store=store, resume=resume,
+                        progress=progress,
                     )
-        except BaseException as exc:
-            # Cancellation (SIGINT/SIGTERM or an injected interrupt) is
-            # not a failure: completed work was drained and persisted
-            # on the way out, so the run is resumable — the registry
-            # row says so.
-            if isinstance(exc, (KeyboardInterrupt, RunInterrupted)):
-                status = "interrupted"
-            else:
-                status = "failed"
-            error_text = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            wall_s = time.perf_counter() - started
-            # Close the trace before flipping the registry record to a
-            # terminal status: a watcher that sees `ok`/`failed` can
-            # rely on the sink being complete on disk.
-            if owns_trace:
-                obs.disable()
-            if registry is not None:
-                n_failed = sum(run.result.n_failed for run in runs)
-                if status == "ok" and n_failed:
-                    status = "failed"
-                    error_text = f"{n_failed} point(s) failed"
-                registry.finalize(
-                    registry_id,
-                    status,
-                    wall_s=wall_s,
-                    metrics={
-                        "n_points": sum(
-                            run.result.n_executed + run.result.n_cached
-                            for run in runs
-                        ),
-                        "n_executed": sum(
-                            run.result.n_executed for run in runs
-                        ),
-                        "n_cached": sum(
-                            run.result.n_cached for run in runs
-                        ),
-                        "n_failed": n_failed,
-                    },
-                    error=error_text,
-                    # Owner-process resource headline (workers report
-                    # through their proc.* trace gauges instead).
-                    peak_rss_bytes=obs.peak_rss_bytes(),
-                    cpu_s=time.process_time() - cpu_started,
+                runs.append(
+                    CampaignRun(planned.role, planned.spec, result, store)
+                )
+                lifecycle.metrics.update(
+                    run_metrics([run.result for run in runs])
                 )
         handle = plan.handle(experiment, runs)
         handle._telemetry = {
-            "enabled": traced,
-            "run_id": trace_run,
-            "trace_path": str(trace_path) if trace_path else None,
-            "wall_s": wall_s,
+            "enabled": lifecycle.enabled,
+            "run_id": lifecycle.trace_run,
+            "trace_path": (
+                str(lifecycle.trace_path) if lifecycle.trace_path else None
+            ),
+            "wall_s": lifecycle.wall_s,
         }
         return handle
 

@@ -3,8 +3,8 @@
 The runner expands a :class:`~repro.campaign.spec.CampaignSpec`, skips
 every point whose content hash already has a successful record in the
 :class:`~repro.campaign.store.ResultStore` (resume), and evaluates the
-remainder — serially, or across a supervised worker pool
-(:class:`~repro.resilience.SupervisedPool`) when ``n_workers > 1``.
+remainder through :func:`~repro.resilience.fan_out` — serially, or
+across a supervised worker pool when ``n_workers > 1``.
 Each point is evaluated by a pure function of its parameters with
 deterministic per-point seeding, so worker-pool and serial executions
 produce identical results regardless of scheduling order — and a
@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..errors import CampaignError, RunInterrupted
-from ..resilience import SupervisedPool, WorkOutcome, active_chaos, retry_serial
+from ..resilience import WorkOutcome, active_chaos, fan_out
 from .evaluators import evaluate_point
 from .spec import CampaignPoint, CampaignSpec
 from .store import ResultStore
 
-__all__ = ["CampaignResult", "run_campaign"]
+__all__ = ["CampaignResult", "run_campaign", "run_metrics"]
 
 #: Bounded retry of a store append (transient ENOSPC-style faults).
 _STORE_WRITE_ATTEMPTS = 5
@@ -91,6 +91,18 @@ class CampaignResult:
             )
 
 
+def run_metrics(results: list[CampaignResult]) -> dict[str, int]:
+    """The run registry's headline metrics over one run's campaigns."""
+    n_executed = sum(result.n_executed for result in results)
+    n_cached = sum(result.n_cached for result in results)
+    return {
+        "n_points": n_executed + n_cached,
+        "n_executed": n_executed,
+        "n_cached": n_cached,
+        "n_failed": sum(result.n_failed for result in results),
+    }
+
+
 def _evaluate_payload(payload: tuple[str, CampaignPoint]) -> dict:
     """Worker entry point: evaluate one point, never raise."""
     point_hash, point = payload
@@ -144,27 +156,20 @@ def _quarantine_record(
     Every attempt died on an infrastructure fault (worker crash,
     deadline, transport error, injected chaos), so there is no
     evaluator record to store — this one is honest about what happened:
-    the real cumulative elapsed time, the attempt count, and the
-    per-attempt history (satellite of the old ``_on_error`` path, which
-    fabricated ``elapsed_s: 0.0`` for transport faults).
+    the real cumulative elapsed time, the attempt count, the
+    per-attempt history, and the last attempt's traceback.
     """
-    last = outcome.history[-1] if outcome.history else {}
     record = {
         "hash": point_hash,
         "kind": point.kind,
         "params": point.params,
         "coords": dict(point.coords),
-        "status": "failed",
-        "error": last.get("error", "quarantined"),
+        **outcome.failure_fields(),
         "elapsed_s": round(
             sum(entry.get("elapsed_s", 0.0) for entry in outcome.history), 6
         ),
-        "attempts": outcome.attempts,
-        "attempt_history": [
-            {k: v for k, v in entry.items() if k != "traceback"}
-            for entry in outcome.history
-        ],
     }
+    last = outcome.history[-1] if outcome.history else {}
     if last.get("traceback"):
         record["traceback"] = last["traceback"]
     return record
@@ -206,10 +211,76 @@ def run_campaign(
     with obs.span(
         "campaign", campaign=spec.name, kind=spec.kind, workers=n_workers
     ) as campaign_span:
-        result = _run_campaign_traced(
-            spec, store, n_workers, progress, resume, campaign_span,
-            points=points,
-        )
+        if points is None:
+            points = spec.expand()
+        cached: dict[str, dict] = {}
+        if store is not None and resume:
+            stored = store.load()
+            cached = {
+                h: rec for h, rec in stored.items()
+                if rec.get("status") == "ok"
+            }
+
+        result = CampaignResult(spec_name=spec.name)
+        by_hash: dict[str, dict] = {}
+        n_done = 0
+
+        # Hash once per point; duplicate-hash points (degenerate grids)
+        # collapse to one unit of work so executed/cached accounting
+        # stays symmetric and progress always reaches the total.
+        point_hashes = [point.content_hash() for point in points]
+        unique: dict[str, CampaignPoint] = {}
+        for point_hash, point in zip(point_hashes, points):
+            unique.setdefault(point_hash, point)
+        total = len(unique)
+
+        todo: dict[str, CampaignPoint] = {}
+        for point_hash, point in unique.items():
+            if point_hash in cached:
+                by_hash[point_hash] = cached[point_hash]
+                result.n_cached += 1
+                n_done += 1
+                if progress is not None:
+                    progress(n_done, total, cached[point_hash])
+            else:
+                todo[point_hash] = point
+        if n_done:
+            obs.heartbeat(
+                "campaign.progress", n_done, campaign=spec.name, total=total
+            )
+
+        # Work key = point hash; payload = the (hash, point) tuple
+        # _evaluate_payload takes.  A batch is every point that completed
+        # since the last tick (one point when serial), so a burst of
+        # fast points still costs one store append (single open + flock).
+        for outcomes in fan_out(
+            _evaluate_payload,
+            [(h, (h, p)) for h, p in todo.items()],
+            n_workers,
+            name="campaign",
+            parent_span_id=campaign_span.span_id,
+        ):
+            records = [
+                o.value if o.status == "completed"
+                else _quarantine_record(o.key, todo[o.key], o)
+                for o in outcomes
+            ]
+            for record in records:
+                by_hash[record["hash"]] = record
+                result.n_executed += 1
+                if record["status"] == "failed":
+                    result.n_failed += 1
+            if store is not None:
+                _persist(store, records)
+            for record in records:
+                n_done += 1
+                if progress is not None:
+                    progress(n_done, total, record)
+            obs.heartbeat(
+                "campaign.progress", n_done, campaign=spec.name, total=total
+            )
+
+        result.records = [by_hash[h] for h in point_hashes]
         obs.counter("campaign.points_executed", result.n_executed)
         obs.counter("campaign.points_cached", result.n_cached)
         if result.n_failed:
@@ -217,143 +288,25 @@ def run_campaign(
     return result
 
 
-def _run_campaign_traced(
-    spec: CampaignSpec,
-    store: ResultStore | None,
-    n_workers: int,
-    progress: ProgressFn | None,
-    resume: bool,
-    campaign_span,
-    points: list[CampaignPoint] | None = None,
-) -> CampaignResult:
-    """The body of :func:`run_campaign`, under its campaign span."""
-    if points is None:
-        points = spec.expand()
-    cached: dict[str, dict] = {}
-    if store is not None and resume:
-        stored = store.load()
-        cached = {
-            h: rec for h, rec in stored.items() if rec.get("status") == "ok"
-        }
+def _persist(store: ResultStore, records: list[dict]) -> None:
+    """One locked store write, with bounded retry on write faults.
 
-    result = CampaignResult(spec_name=spec.name)
-    by_hash: dict[str, dict] = {}
-    n_done = 0
-
-    # Hash once per point; duplicate-hash points (degenerate grids)
-    # collapse to one unit of work so executed/cached accounting stays
-    # symmetric and progress always reaches the total.
-    point_hashes = [point.content_hash() for point in points]
-    unique: dict[str, CampaignPoint] = {}
-    for point_hash, point in zip(point_hashes, points):
-        unique.setdefault(point_hash, point)
-    total = len(unique)
-
-    todo: list[tuple[str, CampaignPoint]] = []
-    for point_hash, point in unique.items():
-        if point_hash in cached:
-            by_hash[point_hash] = cached[point_hash]
-            result.n_cached += 1
-            n_done += 1
-            if progress is not None:
-                progress(n_done, total, cached[point_hash])
-        else:
-            todo.append((point_hash, point))
-    if n_done:
-        obs.heartbeat(
-            "campaign.progress", n_done, campaign=spec.name, total=total
-        )
-
-    def _persist(records: list[dict]) -> None:
-        """One locked store write, with bounded retry on write faults.
-
-        A transient ``OSError`` (a full disk that frees up, an injected
-        ENOSPC from the chaos layer) is retried a few times before it
-        fails the campaign — completed evaluations should survive a
-        hiccup at the persistence seam.
-        """
-        if store is None:
+    A transient ``OSError`` (a full disk that frees up, an injected
+    ENOSPC from the chaos layer) is retried a few times before it fails
+    the campaign — completed evaluations should survive a hiccup at the
+    persistence seam.
+    """
+    chaos = active_chaos()
+    for attempt in range(1, _STORE_WRITE_ATTEMPTS + 1):
+        try:
+            chaos.inject_store_write(records[0]["hash"], attempt)
+            store.append_many(records)
             return
-        chaos = active_chaos()
-        for attempt in range(1, _STORE_WRITE_ATTEMPTS + 1):
-            try:
-                chaos.inject_store_write(records[0]["hash"], attempt)
-                store.append_many(records)
-                return
-            except OSError as exc:
-                if attempt >= _STORE_WRITE_ATTEMPTS:
-                    raise CampaignError(
-                        f"store append failed after {attempt} attempts: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
-                obs.counter("store.write_retries")
-                time.sleep(0.02 * attempt)
-
-    def _absorb_many(records: list[dict]) -> None:
-        """Fold a tick's completed points in: one locked store write."""
-        nonlocal n_done
-        for record in records:
-            by_hash[record["hash"]] = record
-            result.n_executed += 1
-            if record["status"] == "failed":
-                result.n_failed += 1
-        _persist(records)
-        for record in records:
-            n_done += 1
-            if progress is not None:
-                progress(n_done, total, record)
-        obs.heartbeat(
-            "campaign.progress", n_done, campaign=spec.name, total=total
-        )
-
-    def _record_of(
-        outcome: WorkOutcome, payload: tuple[str, CampaignPoint]
-    ) -> dict:
-        if outcome.status == "completed":
-            return outcome.value
-        return _quarantine_record(payload[0], payload[1], outcome)
-
-    if todo:
-        if n_workers == 1 or len(todo) == 1:
-            # Serial execution keeps per-point durability: every point
-            # is persisted before the next one starts.  retry_serial
-            # shares the pool's retry/chaos semantics in-process.
-            chaos = active_chaos()
-            n_fresh = 0
-            for payload in todo:
-                outcome = retry_serial(
-                    _evaluate_payload, payload[0], payload, name="campaign"
-                )
-                _absorb_many([_record_of(outcome, payload)])
-                n_fresh += 1
-                chaos.check_interrupt(n_fresh)
-        else:
-            # Supervised pool execution: dead workers are respawned and
-            # their claimed points requeued, transient faults retry
-            # with backoff, and poison points are quarantined instead
-            # of hanging the drain.  The pool yields every point that
-            # completed since the last tick, so a burst of fast points
-            # still costs one store append (single open + flock).
-            by_key = dict(todo)
-            pool = SupervisedPool(
-                _evaluate_payload,
-                min(n_workers, len(todo)),
-                name="campaign",
-            )
-            # Workers spawned inside worker_parent() (including
-            # respawns after a crash) inherit the campaign span id, so
-            # their per-point spans hang off this campaign in the
-            # report's tree.
-            with obs.worker_parent(campaign_span.span_id):
-                # Work key = point hash; payload = the same (hash,
-                # point) tuple _evaluate_payload always took.
-                for outcomes in pool.run([(h, (h, p)) for h, p in todo]):
-                    _absorb_many(
-                        [
-                            _record_of(o, (o.key, by_key[o.key]))
-                            for o in outcomes
-                        ]
-                    )
-
-    result.records = [by_hash[h] for h in point_hashes]
-    return result
+        except OSError as exc:
+            if attempt >= _STORE_WRITE_ATTEMPTS:
+                raise CampaignError(
+                    f"store append failed after {attempt} attempts: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            obs.counter("store.write_retries")
+            time.sleep(0.02 * attempt)

@@ -10,10 +10,10 @@
   segment signature, operating point)`` is calibrated exactly once
   across the whole fleet *and* all worker processes (the cache's event
   log makes that auditable);
-* **patient-level parallelism** — patients fan out over a supervised
-  worker pool (:class:`~repro.resilience.SupervisedPool`): a dead or
-  stuck worker is detected, respawned, and its patient requeued, so an
-  OOM-killed worker costs one retry instead of hanging the fleet.
+* **patient-level parallelism** — patients fan out through
+  :func:`~repro.resilience.fan_out`: a dead or stuck pool worker is
+  detected, respawned, and its patient requeued, so an OOM-killed
+  worker costs one retry instead of hanging the fleet.
   Per-patient seeding depends on ``(cohort seed, patient index)`` only,
   so results are bit-identical for any worker count, simulation order,
   or retry count;
@@ -28,6 +28,7 @@ the same discipline as the campaign runner.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from ..api.serde import policy_label
 from ..cache import shared_cache
 from ..energy.technology import TECH_32NM_LP, Technology
 from ..errors import CohortError
-from ..resilience import SupervisedPool, WorkOutcome, active_chaos, retry_serial
+from ..resilience import fan_out
 from ..runtime.policy import policy_from_dict
 from ..runtime.simulator import MissionSimulator
 from .population import CohortSpec
@@ -100,23 +101,6 @@ def simulate_patient(
         # the per-patient seam — one boolean check when untraced.
         obs.resource_probe()
         return row
-
-
-#: Worker-process state installed by the pool initializer; holding the
-#: rebuilt cohort here avoids re-parsing it for every patient.
-_WORKER_STATE: tuple[CohortSpec, Any, dict] | None = None
-
-
-def _init_worker(
-    cohort_payload: dict, policy: Any, knobs: dict
-) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (CohortSpec.from_dict(cohort_payload), policy, knobs)
-
-
-def _worker_simulate(index: int) -> dict[str, Any]:
-    cohort, policy, knobs = _WORKER_STATE
-    return simulate_patient(cohort, index, policy, **knobs)
 
 
 @dataclass
@@ -279,31 +263,6 @@ class FleetSimulator:
         rows: list[dict] = []
         label = policy_label(policy)
 
-        def _absorb(row: dict) -> None:
-            rows.append(row)
-            if progress is not None:
-                progress(len(rows), len(todo), row)
-            obs.heartbeat(
-                "fleet.progress", len(rows),
-                cohort=self.cohort.name, policy=label, total=len(todo),
-            )
-
-        def _row_of(outcome: WorkOutcome) -> dict:
-            """An outcome's row; quarantined patients become failures."""
-            if outcome.status == "completed":
-                return outcome.value
-            index = int(outcome.key.rsplit("-", 1)[1])
-            row = self.cohort.patient(index).to_dict()
-            last = outcome.history[-1] if outcome.history else {}
-            row["status"] = "failed"
-            row["error"] = last.get("error", "quarantined")
-            row["attempts"] = outcome.attempts
-            row["attempt_history"] = [
-                {k: v for k, v in entry.items() if k != "traceback"}
-                for entry in outcome.history
-            ]
-            return row
-
         with obs.span(
             "fleet",
             cohort=self.cohort.name,
@@ -311,40 +270,35 @@ class FleetSimulator:
             patients=len(todo),
             workers=n_workers,
         ) as fleet_span:
-            if n_workers == 1 or len(todo) <= 1:
-                chaos = active_chaos()
-                for n_fresh, index in enumerate(todo, start=1):
-                    outcome = retry_serial(
-                        lambda i: self.simulate_patient(i, policy),
-                        f"patient-{index}",
-                        index,
-                        name="fleet",
+            # One patient per unit of work; a quarantined patient
+            # becomes a failed row.  The partial ships once per worker
+            # process, not once per patient.
+            simulate = functools.partial(
+                simulate_patient, self.cohort, policy=policy, **self._knobs()
+            )
+            for outcomes in fan_out(
+                simulate,
+                [(f"patient-{index}", index) for index in todo],
+                n_workers,
+                name="fleet",
+                parent_span_id=fleet_span.span_id,
+            ):
+                for outcome in outcomes:
+                    row = outcome.value
+                    if outcome.quarantined:
+                        index = int(outcome.key.rsplit("-", 1)[1])
+                        row = {
+                            **self.cohort.patient(index).to_dict(),
+                            **outcome.failure_fields(),
+                        }
+                    rows.append(row)
+                    if progress is not None:
+                        progress(len(rows), len(todo), row)
+                    obs.heartbeat(
+                        "fleet.progress", len(rows),
+                        cohort=self.cohort.name, policy=label,
+                        total=len(todo),
                     )
-                    _absorb(_row_of(outcome))
-                    chaos.check_interrupt(n_fresh)
-            else:
-                # Supervised fan-out: one patient per dispatch, dead
-                # workers respawned and their patients requeued,
-                # poison patients quarantined as failed rows.
-                pool = SupervisedPool(
-                    _worker_simulate,
-                    min(n_workers, len(todo)),
-                    initializer=_init_worker,
-                    initargs=(
-                        self.cohort.to_dict(), policy, self._knobs()
-                    ),
-                    name="fleet",
-                )
-                # Workers spawned inside worker_parent() (including
-                # respawns after a crash) inherit the fleet span id, so
-                # their per-patient spans hang off this fleet in the
-                # report's tree.
-                with obs.worker_parent(fleet_span.span_id):
-                    for outcomes in pool.run(
-                        [(f"patient-{index}", index) for index in todo]
-                    ):
-                        for outcome in outcomes:
-                            _absorb(_row_of(outcome))
             elapsed = time.perf_counter() - started
             if obs.enabled():
                 if elapsed > 0:

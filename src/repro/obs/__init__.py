@@ -95,10 +95,12 @@ from .profile import (
 from .registry import (
     REGISTRY_BASENAME,
     STALE_STATUS,
+    RunLifecycle,
     RunRecord,
     RunRegistry,
     host_metadata,
     pid_alive,
+    run_lifecycle,
 )
 from .report import (
     RESILIENCE_COUNTERS,
@@ -176,10 +178,12 @@ __all__ = [
     # registry
     "REGISTRY_BASENAME",
     "STALE_STATUS",
+    "RunLifecycle",
     "RunRecord",
     "RunRegistry",
     "host_metadata",
     "pid_alive",
+    "run_lifecycle",
     # watch
     "WatchState",
     "render_frame",

@@ -251,24 +251,13 @@ def _matching_values(
     return values
 
 
-def _derived_value(
-    metric: str, events: list[dict], summary: dict[str, Any]
-) -> float | None:
+def _derived_value(metric: str, summary: dict[str, Any]) -> float | None:
     if metric == "wall_s":
         return float(summary["wall_s"])
     if metric == "spans.failed":
         return float(len(summary["failed"]))
     if metric == "cache.hit_rate":
-        metrics = summary["metrics"]
-        hits = sum(
-            metrics[name]["value"]
-            for name in ("cache.memory_hit", "cache.disk_hit")
-            if name in metrics
-        )
-        lookups = hits + metrics.get("cache.computed", {}).get("value", 0.0)
-        if lookups <= 0:
-            return None
-        return hits / lookups
+        return summary["cache"].get("hit_rate")
     return None
 
 
@@ -287,7 +276,7 @@ def evaluate_rules(
     for rule in rules:
         metric, facet = _split_facet(rule.metric)
         if rule.metric in DERIVED_METRICS:
-            value = _derived_value(rule.metric, events, summary)
+            value = _derived_value(rule.metric, summary)
             values = [] if value is None else [value]
         else:
             values = _matching_values(rule, series, metric, facet)

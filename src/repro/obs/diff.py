@@ -9,16 +9,16 @@ a BENCH artefact, two BENCH artefacts from different machines (the
 registry's host metadata, echoed in the header, says whether a wall-
 time delta is really a machine delta).
 
-The aggregation reuses :func:`~repro.obs.report.span_totals` and
-:func:`~repro.obs.report.metric_totals` — the diff never invents a
-second notion of "total" that could drift from the report's.
+The aggregation reuses :func:`~repro.obs.report.summarize` — the diff
+never invents a second notion of "total" that could drift from the
+report's.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .report import metric_totals, span_totals, summarize
+from .report import summarize
 
 __all__ = [
     "REGRESSION_THRESHOLD",
@@ -68,9 +68,10 @@ def diff_events(
     as count 0 / 0 s there) and are sorted by absolute wall-time delta,
     biggest mover first; metric rows are sorted by name.
     """
+    summaries = {"a": summarize(events_a), "b": summarize(events_b)}
     sides = {}
     for label, events in (("a", events_a), ("b", events_b)):
-        summary = summarize(events)
+        summary = summaries[label]
         run = summary["run"]
         sides[label] = {
             "run_id": run["trace"] if run else (
@@ -82,8 +83,7 @@ def diff_events(
             "attrs": dict(run.get("attrs", {})) if run else {},
         }
 
-    totals_a = span_totals(events_a)
-    totals_b = span_totals(events_b)
+    totals_a, totals_b = summaries["a"]["tree"], summaries["b"]["tree"]
     span_rows: list[dict[str, Any]] = []
     for path in sorted(set(totals_a) | set(totals_b)):
         slot_a = totals_a.get(path, {"count": 0, "total_s": 0.0, "failed": 0})
@@ -110,8 +110,7 @@ def diff_events(
         )
     span_rows.sort(key=lambda row: abs(row["delta_s"]), reverse=True)
 
-    folded_a = metric_totals(events_a)
-    folded_b = metric_totals(events_b)
+    folded_a, folded_b = summaries["a"]["metrics"], summaries["b"]["metrics"]
     metric_rows: list[dict[str, Any]] = []
     for name in sorted(set(folded_a) | set(folded_b)):
         slot_a, slot_b = folded_a.get(name), folded_b.get(name)

@@ -16,6 +16,10 @@ list, filter, tail and *compare* runs without opening any trace:
   machine delta (the cross-device-comparability requirement of the
   Samakovlis et al. benchmarking methodology).
 
+:func:`run_lifecycle` is the one place a run opens its trace sink,
+registers, and finalizes — ``Session.run`` and the experiment service's
+campaign jobs both run inside it, so both record the same columns.
+
 The file is a :class:`repro.journal.Journal`: one record per line, the
 last per run id wins (``register`` then ``finalize`` appends two full
 records; a re-run appends a fresh pair).  Unlike a trace — where a
@@ -31,21 +35,26 @@ import os
 import platform
 import socket
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from ..errors import ObsError
+from ..errors import ObsError, RunInterrupted
 from ..journal import Journal
+from . import core
 
 __all__ = [
     "REGISTRY_BASENAME",
     "RUN_STATUSES",
     "STALE_STATUS",
+    "RunLifecycle",
     "RunRecord",
     "RunRegistry",
     "host_metadata",
     "pid_alive",
+    "run_lifecycle",
 ]
 
 #: The registry file's name inside a trace directory.
@@ -63,7 +72,13 @@ STALE_STATUS = "stale"
 
 
 def pid_alive(pid: int) -> bool:
-    """Whether a process with this pid currently exists on this host."""
+    """Whether a process with this pid currently exists on this host.
+
+    Only positive pids name one process: ``os.kill(0, 0)`` and
+    ``os.kill(-1, 0)`` signal process groups and would always succeed.
+    """
+    if pid <= 0:
+        return False
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -420,3 +435,81 @@ class RunRegistry:
         """The most recently started run matching the filters, if any."""
         matches = self.runs(kind=kind, status=status, limit=1)
         return matches[0] if matches else None
+
+
+@dataclass
+class RunLifecycle:
+    """What :func:`run_lifecycle` hands the body of a run: whether it is
+    traced, the active sink and run id (``None`` untraced), the
+    ``metrics`` dict the body fills in, and ``wall_s``, set on exit."""
+
+    enabled: bool
+    trace_path: Path | None
+    trace_run: str | None
+    metrics: dict[str, Any] = field(default_factory=dict)
+    wall_s: float | None = None
+
+
+@contextmanager
+def run_lifecycle(
+    run_id: str,
+    *,
+    name: str,
+    kind: str,
+    spec_digest: str,
+    attrs: dict[str, Any] | None = None,
+) -> Iterator[RunLifecycle]:
+    """One run's trace sink and registry record, from start to finish.
+
+    Opens a sink keyed by ``run_id`` when tracing is configured
+    (:func:`repro.obs.core.start_run`).  A run that opened its own sink
+    registers beside it, and on exit is finalized with its wall time,
+    metrics, error text, owner peak RSS and CPU seconds, and status:
+    ``interrupted`` on ``KeyboardInterrupt``/:class:`RunInterrupted`
+    (completed work was persisted, so the run is resumable), ``failed``
+    on any other exception or a positive ``metrics["n_failed"]``, else
+    ``ok``.  The sink is closed first, so a watcher that sees a terminal
+    status can rely on the trace being complete on disk.
+    """
+    owns_trace = core.start_run(run_id, name=name, attrs=attrs)
+    handle = RunLifecycle(
+        enabled=core.enabled(),
+        trace_path=core.trace_path(),
+        trace_run=core.trace_run_id(),
+    )
+    registry = None
+    if owns_trace and handle.trace_path is not None:
+        registry = RunRegistry(handle.trace_path.parent)
+        registry.register(
+            run_id, name=name, kind=kind, spec_digest=spec_digest,
+            trace_path=handle.trace_path,
+        )
+    status = "ok"
+    error: str | None = None
+    started = time.perf_counter()
+    cpu_started = time.process_time()
+    try:
+        yield handle
+    except BaseException as exc:
+        cancelled = isinstance(exc, (KeyboardInterrupt, RunInterrupted))
+        status = "interrupted" if cancelled else "failed"
+        error = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        handle.wall_s = time.perf_counter() - started
+        if owns_trace:
+            core.disable()
+        if registry is not None:
+            n_failed = handle.metrics.get("n_failed", 0)
+            if status == "ok" and n_failed:
+                status = "failed"
+                error = f"{n_failed} point(s) failed"
+            registry.finalize(
+                run_id,
+                status,
+                wall_s=handle.wall_s,
+                metrics=handle.metrics,
+                error=error,
+                peak_rss_bytes=core.peak_rss_bytes(),
+                cpu_s=time.process_time() - cpu_started,
+            )

@@ -288,7 +288,9 @@ def summarize(events: list[dict]) -> dict[str, Any]:
     ``workers`` (per-pid busy seconds/span counts), ``resources``
     (per-pid peak RSS / cumulative CPU from the ``proc.*`` gauges),
     ``slowest`` (spans sorted by duration, longest first), ``failed``
-    (failed span events).
+    (failed span events), ``cache`` (``lookups``, ``memory_hit``,
+    ``disk_hit``, ``computed``, ``hit_rate``; empty without cache
+    counters) and ``resilience`` (non-zero :data:`RESILIENCE_COUNTERS`).
     """
     runs = [event for event in events if event["event"] == "run"]
     spans = [event for event in events if event["event"] == "span"]
@@ -340,19 +342,36 @@ def summarize(events: list[dict]) -> dict[str, Any]:
     for slot in resources.values():
         slot.pop("_cpu_t")
 
+    metrics = metric_totals(events)
+    cache: dict[str, Any] = {}
+    if any(name in metrics for name in _CACHE_COUNTERS):
+        cache = {
+            name.split(".", 1)[1]: metrics.get(name, {}).get("value", 0.0)
+            for name in _CACHE_COUNTERS
+        }
+        hits = cache["memory_hit"] + cache["disk_hit"]
+        cache["lookups"] = lookups = hits + cache["computed"]
+        cache["hit_rate"] = hits / lookups if lookups else None
+
     return {
         "run": run,
         "wall_s": wall_s,
         "events": len(events),
         "spans": len(spans),
         "tree": span_totals(events),
-        "metrics": metric_totals(events),
+        "metrics": metrics,
         "workers": workers,
         "resources": resources,
         "slowest": sorted(
             spans, key=lambda event: event["dur_s"], reverse=True
         ),
         "failed": [event for event in spans if event["status"] == "failed"],
+        "cache": cache,
+        "resilience": {
+            name: int(metrics[name]["value"])
+            for name in RESILIENCE_COUNTERS
+            if name in metrics and metrics[name]["value"]
+        },
     }
 
 
@@ -472,31 +491,18 @@ def render_report(
             lines.append(line)
 
     metrics = summary["metrics"]
-    cache_counts = {
-        name: metrics[name]["value"]
-        for name in _CACHE_COUNTERS
-        if name in metrics
-    }
-    if cache_counts:
-        hits = sum(
-            value for name, value in cache_counts.items()
-            if name != "cache.computed"
-        )
-        lookups = hits + cache_counts.get("cache.computed", 0)
+    cache = summary["cache"]
+    if cache:
         lines.append("")
         lines.append(
-            f"Calibration cache: {int(lookups)} lookups — "
-            f"{int(cache_counts.get('cache.memory_hit', 0))} memory hits, "
-            f"{int(cache_counts.get('cache.disk_hit', 0))} disk hits, "
-            f"{int(cache_counts.get('cache.computed', 0))} computed "
-            f"({100.0 * hits / lookups if lookups else 0.0:.1f}% hit rate)"
+            f"Calibration cache: {int(cache['lookups'])} lookups — "
+            f"{int(cache['memory_hit'])} memory hits, "
+            f"{int(cache['disk_hit'])} disk hits, "
+            f"{int(cache['computed'])} computed "
+            f"({100.0 * (cache['hit_rate'] or 0.0):.1f}% hit rate)"
         )
 
-    resilience = {
-        name: int(metrics[name]["value"])
-        for name in RESILIENCE_COUNTERS
-        if name in metrics and metrics[name]["value"]
-    }
+    resilience = summary["resilience"]
     if resilience:
         lines.append("")
         lines.append("Resilience (supervised execution):")

@@ -208,16 +208,10 @@ class WatchState:
         }
 
         cache = {}
-        hits = sum(
-            metrics[name]["value"]
-            for name in ("cache.memory_hit", "cache.disk_hit")
-            if name in metrics
-        )
-        lookups = hits + metrics.get("cache.computed", {}).get("value", 0.0)
-        if lookups:
+        if summary["cache"].get("lookups"):
             cache = {
-                "lookups": int(lookups),
-                "hit_rate": hits / lookups,
+                "lookups": int(summary["cache"]["lookups"]),
+                "hit_rate": summary["cache"]["hit_rate"],
             }
 
         last_t = max(
@@ -274,12 +268,6 @@ class WatchState:
             ),
         }
 
-        resilience = {
-            name: int(metrics[name]["value"])
-            for name in RESILIENCE_COUNTERS
-            if name in metrics and metrics[name]["value"]
-        }
-
         return {
             "run_id": (
                 run["trace"] if run else (self.run_id or "(unknown)")
@@ -296,7 +284,7 @@ class WatchState:
             "workers": workers,
             "resources": resources,
             "failures": failures,
-            "resilience": resilience,
+            "resilience": summary["resilience"],
         }
 
 

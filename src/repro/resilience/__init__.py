@@ -12,12 +12,13 @@ that runs those experiments.  Three pieces:
   kills, transient exceptions, evaluation delays, ENOSPC-style store
   write errors, and owner-side interrupts, all drawn from a seeded
   schedule so every recovery path is reproducible in CI.
-* :mod:`~repro.resilience.supervisor` — :class:`SupervisedPool`: the
-  worker pool both fan-out seams (campaign runner, cohort fleet) run
-  through.  Detects dead workers (pid liveness) and stuck work
-  (per-unit deadlines), respawns and requeues, retries transient
-  faults with backoff, quarantines poison work after ``max_attempts``
-  with a full attempt history, and drains gracefully on cancellation.
+* :mod:`~repro.resilience.supervisor` — :func:`fan_out`, the one
+  fan-out seam the campaign runner and the cohort fleet run through,
+  and :class:`SupervisedPool`, the worker pool behind it.  Detects dead
+  workers (pid liveness) and stuck work (per-unit deadlines), respawns
+  and requeues, retries transient faults with backoff, quarantines
+  poison work after ``max_attempts`` with a full attempt history, and
+  drains gracefully on cancellation.
 
 Work keys, seeds, and content hashes are never touched by any of this:
 a retried unit of work is bit-identical to a first-try unit.
@@ -33,7 +34,7 @@ from .chaos import (
     parse_chaos,
 )
 from .retry import RetryPolicy
-from .supervisor import SupervisedPool, WorkOutcome, retry_serial
+from .supervisor import SupervisedPool, WorkOutcome, fan_out, retry_serial
 
 __all__ = [
     "ENV_CHAOS",
@@ -43,6 +44,7 @@ __all__ = [
     "WorkOutcome",
     "active_chaos",
     "chaos_draw",
+    "fan_out",
     "parse_chaos",
     "retry_serial",
 ]

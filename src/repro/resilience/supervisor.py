@@ -1,9 +1,9 @@
-"""The supervised worker pool behind both fan-out seams.
+"""The supervised worker pool behind :func:`fan_out`, the one fan-out seam.
 
 ``multiprocessing.Pool`` hangs forever if a worker is OOM-killed while
 holding a task, and offers no per-task deadline.  :class:`SupervisedPool`
-replaces it at the campaign-runner and cohort-fleet seams with explicit
-supervision:
+replaces it — at the seam the campaign runner and the cohort fleet share
+— with explicit supervision:
 
 * **claim/done protocol** — a worker announces each task it picks up
   before evaluating it, so the owner always knows which unit of work a
@@ -53,7 +53,7 @@ from ..errors import ResilienceError, RunInterrupted
 from .chaos import active_chaos
 from .retry import RetryPolicy
 
-__all__ = ["SupervisedPool", "WorkOutcome", "retry_serial"]
+__all__ = ["SupervisedPool", "WorkOutcome", "fan_out", "retry_serial"]
 
 #: How long shutdown waits for workers to exit before terminating them.
 _JOIN_TIMEOUT_S = 1.0
@@ -92,14 +92,25 @@ class WorkOutcome:
     def quarantined(self) -> bool:
         return self.status == "quarantined"
 
+    def failure_fields(self) -> dict[str, Any]:
+        """The ``failed`` fields a quarantined unit's record carries.
 
-def _worker_main(
-    fn: Callable[[Any], Any],
-    initializer: Callable | None,
-    initargs: tuple,
-    tasks: Any,
-    conn: Any,
-) -> None:
+        ``error`` is the last attempt's error text; the attempt history
+        is kept with its tracebacks stripped.
+        """
+        last = self.history[-1] if self.history else {}
+        return {
+            "status": "failed",
+            "error": last.get("error", "quarantined"),
+            "attempts": self.attempts,
+            "attempt_history": [
+                {k: v for k, v in entry.items() if k != "traceback"}
+                for entry in self.history
+            ],
+        }
+
+
+def _worker_main(fn: Callable[[Any], Any], tasks: Any, conn: Any) -> None:
     """Worker process body: claim, (maybe) suffer chaos, evaluate.
 
     Messages travel over this worker's own pipe, and ``Connection.send``
@@ -120,8 +131,6 @@ def _worker_main(
     from queue import Empty  # worker-side only; the owner never needs it
 
     owner = os.getppid()
-    if initializer is not None:
-        initializer(*initargs)
     chaos = active_chaos()
     while True:
         try:
@@ -176,8 +185,6 @@ class SupervisedPool:
         n_workers: worker processes (capped at the number of items).
         policy: retry/timeout/backoff policy (default:
             :meth:`RetryPolicy.from_env`).
-        initializer / initargs: per-worker initialisation, exactly as
-            ``multiprocessing.Pool`` takes them.
         name: label used in retry spans and error text.
         tick_s: supervision cadence — how often liveness and deadlines
             are checked while waiting for results.
@@ -197,8 +204,6 @@ class SupervisedPool:
         fn: Callable[[Any], Any],
         n_workers: int,
         policy: RetryPolicy | None = None,
-        initializer: Callable | None = None,
-        initargs: tuple = (),
         name: str = "work",
         tick_s: float = 0.05,
         daemon: bool = True,
@@ -211,8 +216,6 @@ class SupervisedPool:
         self.fn = fn
         self.n_workers = n_workers
         self.policy = policy if policy is not None else RetryPolicy.from_env()
-        self.initializer = initializer
-        self.initargs = initargs
         self.name = name
         self.tick_s = tick_s
         self.daemon = daemon
@@ -309,10 +312,7 @@ class SupervisedPool:
             reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(
-                    self.fn, self.initializer, self.initargs,
-                    tasks, writer,
-                ),
+                args=(self.fn, tasks, writer),
                 daemon=self.daemon,
             )
             proc.start()
@@ -650,3 +650,33 @@ def retry_serial(
             attempts=attempt,
             history=history,
         )
+
+
+def fan_out(
+    fn: Callable[[Any], Any],
+    work: Sequence[tuple[str, Any]],
+    n_workers: int,
+    *,
+    name: str,
+    parent_span_id: str | None = None,
+) -> Iterator[list[WorkOutcome]]:
+    """Evaluate ``(key, payload)`` units, yielding outcome batches.
+
+    With one effective worker (``min(n_workers, len(work)) <= 1``) each
+    unit runs in-process through :func:`retry_serial` and comes back as
+    its own one-outcome batch, so the caller persists every unit before
+    the next one starts.  The ``interrupt:N`` chaos site fires only
+    when the caller resumes the generator — after unit ``N`` was
+    absorbed.  Otherwise the units drain through a
+    :class:`SupervisedPool`, whose workers (respawns included) parent
+    their spans onto ``parent_span_id``.
+    """
+    n_spawn = min(n_workers, len(work))
+    if n_spawn <= 1:
+        chaos = active_chaos()
+        for n_done, (key, payload) in enumerate(work, start=1):
+            yield [retry_serial(fn, key, payload, name=name)]
+            chaos.check_interrupt(n_done)
+        return
+    with obs.worker_parent(parent_span_id):
+        yield from SupervisedPool(fn, n_spawn, name=name).run(work)

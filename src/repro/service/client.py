@@ -61,8 +61,7 @@ class ServiceClient:
         meta = self.meta()
         if meta is None:
             return False
-        pid = int(meta.get("pid", 0))
-        return pid > 0 and pid_alive(pid)
+        return pid_alive(int(meta.get("pid", 0)))
 
     def socket_path(self) -> Path:
         """The daemon's unix-socket path (from its discovery file)."""

@@ -52,7 +52,7 @@ from .. import obs
 from ..api.schema import experiment_from_payload
 from ..api.serde import content_hash
 from ..api.session import Session
-from ..campaign.runner import run_campaign
+from ..campaign.runner import run_campaign, run_metrics
 from ..campaign.spec import CampaignPoint, CampaignSpec
 from ..campaign.store import ResultStore, SHARDS_ENV, default_store_root
 from ..errors import ReproError, RunInterrupted, ServiceError
@@ -193,26 +193,13 @@ def _run_campaign_job(unit: dict[str, Any]) -> dict[str, Any]:
             payload["store_name"], root=payload.get("store_root")
         )
     job_id = unit["job_id"]
-    # Campaign jobs have no Session around them, so the worker does the
-    # session's trace/registry dance itself: open a sink keyed by the
-    # job id, register under this worker's pid, finalise on the way out.
-    owns_trace = obs.start_run(
-        job_id, name=spec.name,
+    with obs.run_lifecycle(
+        job_id,
+        name=spec.name,
+        kind="campaign",
+        spec_digest=content_hash(payload["spec"]),
         attrs={"kind": "campaign", "service": True},
-    )
-    registry = None
-    trace_path = obs.trace_path()
-    if owns_trace and trace_path is not None:
-        registry = obs.RunRegistry(Path(trace_path).parent)
-        registry.register(
-            job_id, name=spec.name, kind="campaign",
-            spec_digest=content_hash(payload["spec"]),
-            trace_path=trace_path,
-        )
-    status = "ok"
-    error_text: str | None = None
-    started = time.perf_counter()
-    try:
+    ) as lifecycle:
         result = run_campaign(
             spec,
             store=store,
@@ -220,36 +207,18 @@ def _run_campaign_job(unit: dict[str, Any]) -> dict[str, Any]:
             resume=bool(payload.get("resume", True)),
             points=points,
         )
-        if result.n_failed:
-            status = "failed"
-            error_text = f"{result.n_failed} point(s) failed"
-        return {
-            "status": status,
-            "kind": "campaign",
-            "run_id": job_id,
-            "n_points": len(result.records),
-            "n_executed": result.n_executed,
-            "n_cached": result.n_cached,
-            "n_failed": result.n_failed,
-            **({"error": error_text} if error_text else {}),
-        }
-    except BaseException as exc:
-        status = (
-            "interrupted"
-            if isinstance(exc, (KeyboardInterrupt, RunInterrupted))
-            else "failed"
-        )
-        error_text = f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        if owns_trace:
-            obs.disable()
-        if registry is not None:
-            registry.finalize(
-                job_id, status,
-                wall_s=time.perf_counter() - started,
-                error=error_text,
-            )
+        lifecycle.metrics.update(run_metrics([result]))
+    error = f"{result.n_failed} point(s) failed" if result.n_failed else None
+    return {
+        "status": "failed" if error else "ok",
+        "kind": "campaign",
+        "run_id": job_id,
+        "n_points": len(result.records),
+        "n_executed": result.n_executed,
+        "n_cached": result.n_cached,
+        "n_failed": result.n_failed,
+        **({"error": error} if error else {}),
+    }
 
 
 def _job_worker(unit: dict[str, Any]) -> dict[str, Any]:
@@ -361,7 +330,7 @@ class ExperimentService:
         if (
             existing is not None
             and existing.get("pid") != os.getpid()
-            and _pid_alive(int(existing.get("pid", 0)))
+            and obs.pid_alive(int(existing.get("pid", 0)))
         ):
             raise ServiceError(
                 f"a service daemon is already running for {self.root} "
@@ -447,10 +416,9 @@ class ExperimentService:
             with self._lock:
                 self._inflight.pop(outcome.key, None)
             if outcome.quarantined:
-                last = outcome.history[-1] if outcome.history else {}
                 error = (
                     f"quarantined after {outcome.attempts} attempt(s): "
-                    f"{last.get('error', 'unknown fault')}"
+                    f"{outcome.failure_fields()['error']}"
                 )
                 self.queue.mark(
                     outcome.key, "failed", error=error,
@@ -699,9 +667,3 @@ class ExperimentService:
         with self._lock:
             draining = len(self._inflight)
         return {"ok": True, "draining": draining}
-
-
-def _pid_alive(pid: int) -> bool:
-    from ..obs.registry import pid_alive
-
-    return pid > 0 and pid_alive(pid)

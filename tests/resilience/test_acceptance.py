@@ -133,8 +133,9 @@ class TestChaosBitIdentical:
 
 
 class TestInterruptResume:
+    @pytest.mark.parametrize("n_workers", [1, 2])
     def test_interrupted_campaign_resumes_bit_identical(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, n_workers
     ):
         spec = energy_spec()
         plain = run_campaign(spec, n_workers=1)
@@ -142,12 +143,16 @@ class TestInterruptResume:
         store = ResultStore(tmp_path / "acceptance.jsonl")
         monkeypatch.setenv("REPRO_CHAOS", "interrupt:3")
         with pytest.raises(RunInterrupted, match="injected interrupt"):
-            run_campaign(spec, store=store, n_workers=2)
+            run_campaign(spec, store=store, n_workers=n_workers)
 
         # Completed work was persisted before the cancellation, and the
-        # torn run left a loadable store behind.
+        # torn run left a loadable store behind.  Serially, each point
+        # is persisted before the interrupt site is checked, so exactly
+        # the first three made it.
         persisted = store.completed_hashes()
         assert len(persisted) >= 3
+        if n_workers == 1:
+            assert len(persisted) == 3
 
         monkeypatch.delenv("REPRO_CHAOS")
         resumed = run_campaign(spec, store=store, n_workers=1)
@@ -155,3 +160,18 @@ class TestInterruptResume:
         assert resumed.n_cached + resumed.n_executed == len(plain.records)
         assert resumed.n_failed == 0
         assert canon(resumed.records) == canon(plain.records)
+
+    def test_serial_fleet_interrupts_after_absorbing_rows(
+        self, monkeypatch
+    ):
+        simulator = FleetSimulator(
+            small_cohort(), n_probe=2, probe_duration_s=2.0
+        )
+        seen: list[dict] = []
+        monkeypatch.setenv("REPRO_CHAOS", "interrupt:2")
+        with pytest.raises(RunInterrupted, match="injected interrupt"):
+            simulator.run(
+                "hysteresis", n_workers=1,
+                progress=lambda done, total, row: seen.append(row),
+            )
+        assert [row["patient"] for row in seen] == [0, 1]
