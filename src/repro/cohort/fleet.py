@@ -17,9 +17,9 @@
   Per-patient seeding depends on ``(cohort seed, patient index)`` only,
   so results are bit-identical for any worker count, simulation order,
   or retry count;
-* **batched streaming** — the mission simulator prices windows per rung
-  and batches its environment draws, so the per-window cost is one
-  policy decision and a few array reads.
+* **lean streaming** — the mission simulator draws and clips its
+  environment as whole vectors, prices windows per rung and drains the
+  battery inline: a window costs one policy decision and a few floats.
 
 Failures are captured per patient, not fatal: a patient whose mission
 raises becomes a ``status == "failed"`` row and the fleet keeps going —

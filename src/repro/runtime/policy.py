@@ -367,12 +367,20 @@ class SoCSchedulerPolicy(Policy):
         if bands[-1][0] != 0.0:
             raise MissionError("the last band must cover SoC 0.0")
         self.bands = bands
+        self._rungs: tuple[tuple[float, int], ...] = ()
+
+    def reset(self, context: PolicyContext) -> None:
+        super().reset(context)
+        self._rungs = tuple(
+            (min_soc, _fraction_to_index(fraction, context.n_levels))
+            for min_soc, fraction in self.bands
+        )
 
     def decide(self, obs: Observation) -> int:
-        context = self._require_context()
-        for min_soc, fraction in self.bands:
+        self._require_context()
+        for min_soc, rung in self._rungs:
             if obs.soc >= min_soc:
-                return _fraction_to_index(fraction, context.n_levels)
+                return rung
         return 0  # pragma: no cover - last band covers soc 0
 
 
@@ -422,19 +430,20 @@ class HysteresisPolicy(Policy):
         self.stress_threshold = stress_threshold
         self.stress_fraction = stress_fraction
         self._held = 0
+        self._stress_floor = 0
 
     def reset(self, context: PolicyContext) -> None:
         super().reset(context)
         self._held = 0
+        self._stress_floor = _fraction_to_index(
+            self.stress_fraction, context.n_levels
+        )
 
     def decide(self, obs: Observation) -> int:
-        context = self._require_context()
+        self._require_context()
         if obs.stress_hint >= self.stress_threshold:
             self._held = 0
-            floor = _fraction_to_index(
-                self.stress_fraction, context.n_levels
-            )
-            return max(obs.current_index, floor)
+            return max(obs.current_index, self._stress_floor)
         if obs.last_snr_db is None:
             return obs.current_index
         if obs.last_snr_db < self.low_db:

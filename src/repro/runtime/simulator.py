@@ -16,9 +16,11 @@ a 24 h mission.  Instead the simulator factors the loop into
   loop, so cached models never shift).  Energy per window is likewise
   priced once per operating point with the Section VI-B accounting
   model, with leakage integrated over the whole window;
-* a **streaming layer**: each of the mission's thousands of windows then
-  costs one policy decision, one truncated-Gaussian quality draw from
-  the calibrated model, and one battery withdrawal.
+* a **streaming layer**: one plain Python loop that every policy, built
+  in or custom, goes through.  The environment's draws are made and
+  clipped as whole vectors up front and the battery is a float drained
+  inline, so each window costs one fresh :class:`Observation`, one
+  policy decision and a few float operations.
 
 Both layers are deterministic: calibration seeds derive from the
 configuration's content (CRC-32, like the campaign grid seeds), the
@@ -26,13 +28,13 @@ streaming draws from the mission seed — so the same mission under the
 same policy always produces the same :class:`MissionResult`, regardless
 of which process ran it or what was cached.
 
-Calibrations are cached at two levels: a per-process ``lru_cache`` memo
-for the hot path, backed by the shared on-disk
-:class:`~repro.cache.DiskCache` so repeated mission experiments — and
-every worker of a :class:`~repro.cohort.FleetSimulator` fleet — compute
-each (segment signature, operating point) model exactly once machine-wide
-(``REPRO_CACHE_DIR`` moves the cache, ``REPRO_CACHE_DISABLE=1`` turns
-the disk layer off).
+Calibrations are cached at three levels: a per-run ``[segment][rung]``
+table inside the loop, a per-process ``lru_cache`` memo, and the shared
+on-disk :class:`~repro.cache.DiskCache`, so repeated mission experiments
+— and every worker of a :class:`~repro.cohort.FleetSimulator` fleet —
+compute each (segment signature, operating point) model exactly once
+machine-wide (``REPRO_CACHE_DIR`` moves the cache,
+``REPRO_CACHE_DISABLE=1`` turns the disk layer off).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .. import obs
 from ..cache import shared_cache
 from ..emt import make_emt
 from ..energy.accounting import EnergySystemModel
-from ..energy.battery import BatteryState
 from ..energy.technology import TECH_32NM_LP, Technology
 from ..errors import MissionError
 from ..exp.common import trial_snrs, validate_registry_names
@@ -414,7 +415,7 @@ class MissionSimulator:
         self.snr_cap_db = snr_cap_db
         self.keep_trace = keep_trace
         self._ladder = self._build_ladder()
-        self._schedule = self._build_schedule()
+        self._segment_index, self._stress = self._build_schedule()
 
     # -- construction ------------------------------------------------------
 
@@ -442,22 +443,22 @@ class MissionSimulator:
             for i, ((emt_name, voltage), energy) in enumerate(ordered)
         )
 
-    def _build_schedule(self) -> tuple[SegmentSpec, ...]:
-        """Active segment per window, resolved once up front."""
+    def _build_schedule(self) -> tuple[list[int], np.ndarray]:
+        """Segment index and stress of every window, in one forward walk
+        that repeats :meth:`MissionSpec.segment_at`'s float arithmetic."""
         spec = self.spec
-        schedule = tuple(
-            spec.segment_at(w * spec.window_s)
-            for w in range(spec.n_windows)
-        )
-        # Hot-path companions: the stress vector feeds the batched hint
-        # draw; the per-window segment ids key the per-run quality-model
-        # memo without hashing SegmentSpec objects window by window.
-        self._stress = np.asarray([seg.stress for seg in schedule])
-        unique: dict[int, int] = {}
-        self._segment_ids = tuple(
-            unique.setdefault(id(seg), len(unique)) for seg in schedule
-        )
-        return schedule
+        segments = spec.segments
+        last = len(segments) - 1
+        index, elapsed = 0, segments[0].duration_s
+        indices: list[int] = []
+        for w in range(spec.n_windows):
+            time_s = w * spec.window_s
+            while index < last and not time_s < elapsed:
+                index += 1
+                elapsed += segments[index].duration_s
+            indices.append(index)
+        stress = np.asarray([segment.stress for segment in segments])
+        return indices, stress[indices]
 
     @property
     def ladder(self) -> tuple[LadderPoint, ...]:
@@ -490,20 +491,6 @@ class MissionSimulator:
             self.probe_duration_s,
             self.snr_cap_db,
         )
-
-    def _draw_quality(self, mean: float, std: float, z: float) -> float:
-        """One truncated-Gaussian quality draw from a calibrated model."""
-        quality = mean + std * float(
-            np.clip(z, -_TRUNCATE_SIGMA, _TRUNCATE_SIGMA)
-        )
-        return min(quality, self.snr_cap_db)
-
-    def _window_quality(
-        self, segment: SegmentSpec, point: LadderPoint, z: float
-    ) -> float:
-        """One window's output quality at one operating point."""
-        mean, std = self._quality_model(segment, point)
-        return self._draw_quality(mean, std, z)
 
     def run(self, policy: Policy) -> MissionResult:
         """Simulate the full mission under ``policy``.
@@ -540,33 +527,37 @@ class MissionSimulator:
     def _simulate(self, policy: Policy) -> MissionResult:
         """The streaming loop of :meth:`run` (under its mission span)."""
         spec = self.spec
+        ladder = self._ladder
+        segments = spec.segments
+        window_s = spec.window_s
         rng = np.random.default_rng(spec.seed)
         policy.reset(self.context())
-        battery = BatteryState(spec.battery)
-        top = len(self._ladder) - 1
+        decide = policy.decide
+        top = len(ladder) - 1
 
-        # The environment's draws are batched up front — two per window,
-        # in the same order scalar calls would consume them, so results
-        # are bit-identical to the window-by-window formulation at a
-        # fraction of the RNG cost.  Window pricing is likewise resolved
-        # to a per-rung vector once, and quality models to a per-run
-        # memo keyed by (segment id, rung).
+        # Two draws per window, in the order scalar calls would consume
+        # them; the vector clips equal the scalar clips elementwise.
         draws = rng.standard_normal(2 * spec.n_windows)
         hints = np.clip(
             self._stress + draws[0::2] * spec.hint_noise, 0.0, 1.0
-        )
-        zs = draws[1::2]
-        window_pj_by_rung = tuple(
-            point.energy_per_window_pj
-            + spec.platform_power_uw * spec.window_s * 1e6
-            for point in self._ladder
-        )
-        models: dict[tuple[int, int], tuple[float, float]] = {}
+        ).tolist()
+        zs = np.clip(draws[1::2], -_TRUNCATE_SIGMA, _TRUNCATE_SIGMA).tolist()
+        platform_pj = spec.platform_power_uw * window_s * 1e6
+        window_j_by_rung = [
+            (point.energy_per_window_pj + platform_pj) * 1e-12
+            for point in ladder
+        ]
+        models: list[list] = [[None] * len(ladder) for _ in segments]
+        remaining_j = usable_j = spec.battery.usable_energy_j
+        soc = remaining_j / usable_j
+        cap = self.snr_cap_db
+        quality_floor_db = spec.quality_floor_db
+        keep_trace = self.keep_trace
 
         current = top  # boot on the most capable rung, like real firmware
         last_snr: float | None = None
         qualities: list[float] = []
-        dwell = np.zeros(len(self._ladder), dtype=np.int64)
+        dwell = [0] * len(ladder)
         trace: list[dict] = []
         n_switches = 0
         n_violations = 0
@@ -574,58 +565,56 @@ class MissionSimulator:
         survived = True
         depleted_at_s = 0.0
 
-        for w, segment in enumerate(self._schedule):
-            time_s = w * spec.window_s
-            hint = float(hints[w])
-            z = zs[w]
+        for w, (segment_index, hint, z) in enumerate(
+            zip(self._segment_index, hints, zs)
+        ):
+            time_s = w * window_s
             decision = int(
-                policy.decide(
-                    Observation(
-                        window_index=w,
-                        time_s=time_s,
-                        soc=battery.state_of_charge,
-                        last_snr_db=last_snr,
-                        stress_hint=hint,
-                        current_index=current,
-                    )
-                )
+                decide(Observation(w, time_s, soc, last_snr, hint, current))
             )
-            decision = max(0, min(top, decision))
-            point = self._ladder[decision]
-            window_pj = window_pj_by_rung[decision]
+            if decision < 0:
+                decision = 0
+            elif decision > top:
+                decision = top
+            window_j = window_j_by_rung[decision]
             # A window the cell cannot fully fund is never processed:
             # the node browns out at this window's start.
-            if battery.remaining_j < window_pj * 1e-12:
+            if remaining_j < window_j:
                 survived = False
                 depleted_at_s = time_s
                 break
-            if w > 0 and decision != current:
+            if w and decision != current:
                 n_switches += 1
             current = decision
-            dwell[current] += 1
+            dwell[decision] += 1
 
-            model_key = (self._segment_ids[w], decision)
-            model = models.get(model_key)
+            row = models[segment_index]
+            model = row[decision]
             if model is None:
-                model = self._quality_model(segment, point)
-                models[model_key] = model
-            quality = self._draw_quality(*model, z)
+                model = row[decision] = self._quality_model(
+                    segments[segment_index], ladder[decision]
+                )
+            mean, std = model
+            quality = mean + std * z
+            if cap < quality:
+                quality = cap
             qualities.append(quality)
-            if quality < spec.quality_floor_db:
+            if quality < quality_floor_db:
                 n_violations += 1
             last_snr = quality
 
-            energy_j += window_pj * 1e-12
-            battery.drain(window_pj * 1e-12)
-            if self.keep_trace:
+            energy_j += window_j
+            remaining_j = max(0.0, remaining_j - window_j)
+            soc = remaining_j / usable_j
+            if keep_trace:
                 trace.append(
                     {
                         "window": w,
                         "time_s": time_s,
-                        "segment": segment.name,
-                        "op_point": point.label,
+                        "segment": segments[segment_index].name,
+                        "op_point": ladder[decision].label,
                         "snr_db": quality,
-                        "soc": battery.state_of_charge,
+                        "soc": soc,
                         "stress_hint": hint,
                     }
                 )
@@ -658,8 +647,8 @@ class MissionSimulator:
             energy_mj=energy_j * 1e3,
             average_power_uw=average_power_w * 1e6,
             op_point_share={
-                self._ladder[i].label: float(dwell[i]) / n_processed
-                for i in range(len(self._ladder))
+                ladder[i].label: dwell[i] / n_processed
+                for i in range(len(ladder))
                 if dwell[i]
             },
             trace=tuple(trace) if self.keep_trace else None,
