@@ -888,13 +888,11 @@ def _resolve_run_target(target: str, trace_dir: Path):
 def _cmd_report(args) -> int:
     from .errors import ObsError
     from .obs import (
-        breached,
+        TraceFold,
         diff_events,
-        evaluate_rules,
         load_events,
         load_rules,
         render_diff,
-        render_outcomes,
         render_report,
     )
 
@@ -912,20 +910,14 @@ def _cmd_report(args) -> int:
         sides = []
         for target in args.targets:
             _run_id, path = _resolve_run_target(target, trace_dir)
-            sides.append(load_events(path))
+            sides.append(TraceFold(load_events(path)))
         print(render_diff(diff_events(*sides), top=args.top))
-        exit_code = 0
-        if rules is not None:
-            outcomes = evaluate_rules(rules, sides[1])
-            print()
-            print(render_outcomes(outcomes))
-            exit_code = 1 if breached(outcomes) else 0
-        return exit_code
+        return _print_alerts(rules, sides[1])
 
     exit_code = 0
     for index, target in enumerate(args.targets):
         _run_id, path = _resolve_run_target(target, trace_dir)
-        events = load_events(path)
+        fold = TraceFold(load_events(path))
         profile = None
         if args.profile:
             from .obs import load_profile
@@ -939,21 +931,28 @@ def _cmd_report(args) -> int:
         # construction and never "in progress".
         print(
             render_report(
-                events,
+                fold,
                 top=args.top,
                 live_source=path.suffix != ".json",
                 profile=profile,
             )
         )
-        if not events:
-            exit_code = max(exit_code, 1)
-        if rules is not None:
-            outcomes = evaluate_rules(rules, events)
-            print()
-            print(render_outcomes(outcomes))
-            if breached(outcomes):
-                exit_code = max(exit_code, 1)
+        if not fold.n_events:
+            exit_code = 1
+        exit_code = max(exit_code, _print_alerts(rules, fold))
     return exit_code
+
+
+def _print_alerts(rules, fold) -> int:
+    """Print the alert section for one folded trace; 1 when any fired."""
+    from .obs import breached, evaluate_rules, render_outcomes
+
+    if rules is None:
+        return 0
+    outcomes = evaluate_rules(rules, fold)
+    print()
+    print(render_outcomes(outcomes))
+    return 1 if breached(outcomes) else 0
 
 
 def _cmd_runs(args) -> int:

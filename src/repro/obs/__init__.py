@@ -104,15 +104,13 @@ from .registry import (
 )
 from .report import (
     RESILIENCE_COUNTERS,
+    TraceFold,
     TraceTail,
     load_events,
     load_trace,
-    metric_series,
-    metric_totals,
     render_report,
     resolve_trace,
     span_totals,
-    summarize,
 )
 from .watch import WatchState, render_frame, watch
 
@@ -166,14 +164,12 @@ __all__ = [
     "validate_event",
     # report
     "RESILIENCE_COUNTERS",
+    "TraceFold",
     "TraceTail",
     "load_trace",
     "load_events",
     "resolve_trace",
-    "summarize",
     "span_totals",
-    "metric_totals",
-    "metric_series",
     "render_report",
     # registry
     "REGISTRY_BASENAME",

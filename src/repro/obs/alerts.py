@@ -3,7 +3,7 @@
 Rules are declarative bounds on a run's folded metrics — a quality
 floor per phenotype, a minimum fleet throughput, a maximum failed-point
 count, a minimum cache hit rate — loaded from TOML and evaluated two
-ways against the *same* events:
+ways against the *same* :class:`~repro.obs.report.TraceFold`:
 
 * **post-hoc** — ``repro report <run> --alerts rules.toml`` evaluates
   the finished trace and exits non-zero when any rule is breached (the
@@ -30,13 +30,15 @@ A rules file is a list of ``[[rule]]`` tables::
     min = 0.25
     severity = "warning"        # report, but never fail the exit code
 
-``metric`` names a folded metric (:func:`repro.obs.report.
-metric_series` semantics — counters summed, gauges last-write,
-histograms merged) or one of the derived metrics ``cache.hit_rate``,
-``spans.failed`` and ``wall_s``.  Histogram metrics compare their mean;
-append ``.count``/``.sum``/``.min``/``.max`` to bound another facet.
+``metric`` names a folded metric series (the ``series`` view of
+:class:`repro.obs.report.TraceFold` — counters summed, gauges keep
+their latest write, histograms merged, per ``(name, attrs)``) or one of
+the derived metrics ``cache.hit_rate``, ``spans.failed`` and
+``wall_s``.  Histogram metrics compare their mean; append
+``.count``/``.sum``/``.min``/``.max`` to bound another facet.
 ``attrs`` restricts the rule to series carrying those attributes
-(subset match).  When several series match — e.g. one gauge per
+(subset match); a derived metric is computed over the whole trace, so
+it rejects ``attrs``.  When several series match — e.g. one gauge per
 phenotype — a ``min`` bound is checked against the *worst* (smallest)
 series and a ``max`` bound against the largest: an alert fires when
 *any* series breaches.
@@ -49,7 +51,7 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import ObsError
-from .report import metric_series, summarize
+from .report import TraceFold
 
 __all__ = [
     "AlertRule",
@@ -166,6 +168,11 @@ def rules_from_payload(payload: dict[str, Any]) -> list[AlertRule]:
         attrs = table.get("attrs", {})
         if not isinstance(attrs, dict):
             raise ObsError(f"rule {name!r} attrs must be a table")
+        if attrs and metric in DERIVED_METRICS:
+            raise ObsError(
+                f"rule {name!r}: derived metric {metric!r} is computed "
+                "over the whole trace and takes no attrs"
+            )
         unknown = set(table) - {
             "name", "metric", "min", "max", "attrs", "severity",
             "require", "description",
@@ -251,32 +258,31 @@ def _matching_values(
     return values
 
 
-def _derived_value(metric: str, summary: dict[str, Any]) -> float | None:
+def _derived_value(metric: str, fold: TraceFold) -> float | None:
     if metric == "wall_s":
-        return float(summary["wall_s"])
+        return float(fold.wall_s)
     if metric == "spans.failed":
-        return float(len(summary["failed"]))
+        return float(len(fold.failed()))
     if metric == "cache.hit_rate":
-        return summary["cache"].get("hit_rate")
+        return fold.cache().get("hit_rate")
     return None
 
 
 def evaluate_rules(
-    rules: list[AlertRule], events: list[dict]
+    rules: list[AlertRule], fold: TraceFold
 ) -> list[AlertOutcome]:
-    """Evaluate every rule against one run's events.
+    """Evaluate every rule against one run's :class:`TraceFold`.
 
     Pure and side-effect-free: the watch loop re-invokes it per frame
-    over the events tailed so far, the report path once over the full
-    trace.
+    over the fold of everything tailed so far, the report path once
+    over the full trace.
     """
-    series = metric_series(events)
-    summary = summarize(events)
+    series = fold.series
     outcomes: list[AlertOutcome] = []
     for rule in rules:
         metric, facet = _split_facet(rule.metric)
         if rule.metric in DERIVED_METRICS:
-            value = _derived_value(rule.metric, summary)
+            value = _derived_value(rule.metric, fold)
             values = [] if value is None else [value]
         else:
             values = _matching_values(rule, series, metric, facet)

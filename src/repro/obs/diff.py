@@ -3,22 +3,23 @@
 ``repro report --diff <run-a> <run-b>`` answers "what changed between
 run N-1 and run N": per span path, how the call count and total wall
 time moved; per metric, how the folded value moved — with regressions
-highlighted.  Both sides are plain event lists, so the diff works
-across any two schema sources: two registered run traces, a trace and
-a BENCH artefact, two BENCH artefacts from different machines (the
-registry's host metadata, echoed in the header, says whether a wall-
-time delta is really a machine delta).
+highlighted.  Both sides are folded traces
+(:class:`~repro.obs.report.TraceFold`), so the diff works across any
+two schema sources: two registered run traces, a trace and a BENCH
+artefact, two BENCH artefacts from different machines (the registry's
+host metadata, echoed in the header, says whether a wall-time delta is
+really a machine delta).
 
-The aggregation reuses :func:`~repro.obs.report.summarize` — the diff
-never invents a second notion of "total" that could drift from the
-report's.
+The diff folds nothing itself: it reads the same fold the report
+renders, so it never invents a second notion of "total" that could
+drift from the report's.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .report import summarize
+from .report import TraceFold
 
 __all__ = [
     "REGRESSION_THRESHOLD",
@@ -49,10 +50,21 @@ def _metric_scalar(slot: dict[str, Any]) -> float:
     return float(value)
 
 
-def diff_events(
-    events_a: list[dict], events_b: list[dict]
-) -> dict[str, Any]:
-    """Structured comparison of two event sets (a = before, b = after).
+def _side(fold: TraceFold) -> dict[str, Any]:
+    run = fold.run
+    return {
+        "run_id": run["trace"] if run else (
+            fold.trace_id if fold.n_events else "(empty)"
+        ),
+        "wall_s": fold.wall_s,
+        "spans": len(fold.spans),
+        "failed": len(fold.failed()),
+        "attrs": dict(run.get("attrs", {})) if run else {},
+    }
+
+
+def diff_events(fold_a: TraceFold, fold_b: TraceFold) -> dict[str, Any]:
+    """Structured comparison of two folded traces (a = before, b = after).
 
     Returns::
 
@@ -68,22 +80,7 @@ def diff_events(
     as count 0 / 0 s there) and are sorted by absolute wall-time delta,
     biggest mover first; metric rows are sorted by name.
     """
-    summaries = {"a": summarize(events_a), "b": summarize(events_b)}
-    sides = {}
-    for label, events in (("a", events_a), ("b", events_b)):
-        summary = summaries[label]
-        run = summary["run"]
-        sides[label] = {
-            "run_id": run["trace"] if run else (
-                events[0]["trace"] if events else "(empty)"
-            ),
-            "wall_s": summary["wall_s"],
-            "spans": summary["spans"],
-            "failed": len(summary["failed"]),
-            "attrs": dict(run.get("attrs", {})) if run else {},
-        }
-
-    totals_a, totals_b = summaries["a"]["tree"], summaries["b"]["tree"]
+    totals_a, totals_b = fold_a.tree(), fold_b.tree()
     span_rows: list[dict[str, Any]] = []
     for path in sorted(set(totals_a) | set(totals_b)):
         slot_a = totals_a.get(path, {"count": 0, "total_s": 0.0, "failed": 0})
@@ -110,7 +107,7 @@ def diff_events(
         )
     span_rows.sort(key=lambda row: abs(row["delta_s"]), reverse=True)
 
-    folded_a, folded_b = summaries["a"]["metrics"], summaries["b"]["metrics"]
+    folded_a, folded_b = fold_a.metrics, fold_b.metrics
     metric_rows: list[dict[str, Any]] = []
     for name in sorted(set(folded_a) | set(folded_b)):
         slot_a, slot_b = folded_a.get(name), folded_b.get(name)
@@ -137,8 +134,8 @@ def diff_events(
         )
 
     return {
-        "a": sides["a"],
-        "b": sides["b"],
+        "a": _side(fold_a),
+        "b": _side(fold_b),
         "spans": span_rows,
         "metrics": metric_rows,
     }

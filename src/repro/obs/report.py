@@ -6,7 +6,8 @@ This is the single reader for everything written in the
 artefacts (which carry their events under an ``"events"`` key).  The
 renderer produces four sections — the wall-time span tree, a per-process
 worker-utilization table, cache hit rates, and the top-N slowest spans —
-from one pass over the events.
+from one :class:`TraceFold`, the incremental fold that ``repro watch``,
+``repro report --diff`` and the alert rules read as well.
 
 Every line is validated against the schema contract on load; a
 malformed event is a hard :class:`~repro.errors.ObsError` naming its
@@ -18,6 +19,8 @@ line (the :data:`~repro.journal.RAISE` torn-line policy), which is how
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
@@ -26,14 +29,12 @@ from ..journal import RAISE, Journal, TornLineError
 from .events import validate_event
 
 __all__ = [
+    "TraceFold",
     "TraceTail",
     "load_trace",
     "load_events",
     "resolve_trace",
-    "summarize",
     "span_totals",
-    "metric_totals",
-    "metric_series",
     "render_report",
 ]
 
@@ -202,179 +203,6 @@ def span_totals(events: list[dict]) -> dict[tuple[str, ...], dict]:
     return totals
 
 
-def metric_totals(events: list[dict]) -> dict[str, dict]:
-    """Fold metric events by name: summed counters, merged histograms.
-
-    Returns ``{name: {"kind": ..., "value": ...}}`` where a counter's
-    value is the sum of its deltas, a gauge's is its last write, and a
-    histogram's is the merged ``{count, sum, min, max}`` summary.
-    """
-    folded: dict[str, dict] = {}
-    for event in events:
-        if event["event"] != "metric":
-            continue
-        name, kind, value = event["name"], event["kind"], event["value"]
-        slot = folded.get(name)
-        if slot is None:
-            folded[name] = {
-                "kind": kind,
-                "value": dict(value) if kind == "histogram" else value,
-            }
-            continue
-        if kind == "counter":
-            slot["value"] += value
-        elif kind == "gauge":
-            slot["value"] = value
-        elif kind == "histogram":
-            merged = slot["value"]
-            merged["count"] += value["count"]
-            merged["sum"] += value["sum"]
-            merged["min"] = min(merged["min"], value["min"])
-            merged["max"] = max(merged["max"], value["max"])
-    return folded
-
-
-def metric_series(
-    events: list[dict],
-) -> dict[tuple[str, tuple], dict[str, Any]]:
-    """Fold metric events by ``(name, attrs)`` instead of name alone.
-
-    :func:`metric_totals` collapses a metric's attribute dimensions —
-    right for the report's one-line-per-metric table, wrong for
-    consumers that need the dimensions: alert rules scoped to one
-    phenotype, or a watch dashboard showing per-campaign progress
-    gauges.  Returns ``{(name, sorted attr items): {"kind", "value",
-    "t", "attrs"}}`` with the same per-kind folding as
-    :func:`metric_totals` (counters sum, gauges keep the latest write
-    by timestamp, histograms merge), plus the folded series' last
-    event time.
-    """
-    folded: dict[tuple[str, tuple], dict[str, Any]] = {}
-    for event in events:
-        if event["event"] != "metric":
-            continue
-        attrs = event.get("attrs", {})
-        key = (event["name"], tuple(sorted(attrs.items())))
-        kind, value, t = event["kind"], event["value"], event["t"]
-        slot = folded.get(key)
-        if slot is None:
-            folded[key] = {
-                "kind": kind,
-                "value": dict(value) if kind == "histogram" else value,
-                "t": t,
-                "attrs": dict(attrs),
-            }
-            continue
-        if kind == "counter":
-            slot["value"] += value
-        elif kind == "gauge":
-            if t >= slot["t"]:
-                slot["value"] = value
-        elif kind == "histogram":
-            merged = slot["value"]
-            merged["count"] += value["count"]
-            merged["sum"] += value["sum"]
-            merged["min"] = min(merged["min"], value["min"])
-            merged["max"] = max(merged["max"], value["max"])
-        slot["t"] = max(slot["t"], t)
-    return folded
-
-
-def summarize(events: list[dict]) -> dict[str, Any]:
-    """One pass over a trace into the structure the renderer prints.
-
-    Keys: ``run`` (the run marker or None), ``wall_s``, ``tree`` (the
-    :func:`span_totals` aggregate), ``metrics`` (:func:`metric_totals`),
-    ``workers`` (per-pid busy seconds/span counts), ``resources``
-    (per-pid peak RSS / cumulative CPU from the ``proc.*`` gauges),
-    ``slowest`` (spans sorted by duration, longest first), ``failed``
-    (failed span events), ``cache`` (``lookups``, ``memory_hit``,
-    ``disk_hit``, ``computed``, ``hit_rate``; empty without cache
-    counters) and ``resilience`` (non-zero :data:`RESILIENCE_COUNTERS`).
-    """
-    runs = [event for event in events if event["event"] == "run"]
-    spans = [event for event in events if event["event"] == "span"]
-    run = runs[0] if runs else None
-
-    starts = [event["t"] for event in events]
-    ends = [
-        event["t"] + (event["dur_s"] if event["event"] == "span" else 0.0)
-        for event in events
-    ]
-    wall_s = (max(ends) - min(starts)) if events else 0.0
-
-    by_id = {event["span"]: event for event in spans}
-    workers: dict[int, dict] = {}
-    for event in spans:
-        slot = workers.setdefault(
-            event["pid"], {"busy_s": 0.0, "spans": 0}
-        )
-        slot["spans"] += 1
-        parent = event.get("parent")
-        # Busy time counts only process-root spans (those whose parent
-        # lives in another process or nowhere); nested spans would
-        # double-count their parents' wall time.
-        parent_event = by_id.get(parent) if parent is not None else None
-        if parent_event is None or parent_event["pid"] != event["pid"]:
-            slot["busy_s"] += float(event["dur_s"])
-
-    # Per-process resource readings from the throttled proc.* gauges:
-    # peak RSS is the max ever seen, CPU is cumulative (process_time),
-    # so the latest write per pid wins.
-    resources: dict[int, dict] = {}
-    for event in events:
-        if event["event"] != "metric" or event["kind"] != "gauge":
-            continue
-        name = event["name"]
-        if name not in ("proc.rss_bytes", "proc.cpu_s"):
-            continue
-        slot = resources.setdefault(
-            event["pid"],
-            {"peak_rss_bytes": None, "cpu_s": None, "_cpu_t": 0.0},
-        )
-        value = float(event["value"])
-        if name == "proc.rss_bytes":
-            if slot["peak_rss_bytes"] is None or value > slot["peak_rss_bytes"]:
-                slot["peak_rss_bytes"] = value
-        elif event["t"] >= slot["_cpu_t"]:
-            slot["cpu_s"] = value
-            slot["_cpu_t"] = event["t"]
-    for slot in resources.values():
-        slot.pop("_cpu_t")
-
-    metrics = metric_totals(events)
-    cache: dict[str, Any] = {}
-    if any(name in metrics for name in _CACHE_COUNTERS):
-        cache = {
-            name.split(".", 1)[1]: metrics.get(name, {}).get("value", 0.0)
-            for name in _CACHE_COUNTERS
-        }
-        hits = cache["memory_hit"] + cache["disk_hit"]
-        cache["lookups"] = lookups = hits + cache["computed"]
-        cache["hit_rate"] = hits / lookups if lookups else None
-
-    return {
-        "run": run,
-        "wall_s": wall_s,
-        "events": len(events),
-        "spans": len(spans),
-        "tree": span_totals(events),
-        "metrics": metrics,
-        "workers": workers,
-        "resources": resources,
-        "slowest": sorted(
-            spans, key=lambda event: event["dur_s"], reverse=True
-        ),
-        "failed": [event for event in spans if event["status"] == "failed"],
-        "cache": cache,
-        "resilience": {
-            name: int(metrics[name]["value"])
-            for name in RESILIENCE_COUNTERS
-            if name in metrics and metrics[name]["value"]
-        },
-    }
-
-
 _CACHE_COUNTERS = ("cache.memory_hit", "cache.disk_hit", "cache.computed")
 
 #: Supervision counters rendered as their own Resilience section (and
@@ -388,6 +216,179 @@ RESILIENCE_COUNTERS = (
     "store.quarantined_lines",
 )
 
+_PROC_GAUGES = ("proc.rss_bytes", "proc.cpu_s")
+
+
+def _new_slot(kind: str, value: Any, **extra: Any) -> dict[str, Any]:
+    return {
+        "kind": kind,
+        "value": dict(value) if kind == "histogram" else value,
+        **extra,
+    }
+
+
+def _merge(slot: dict[str, Any], kind: str, value: Any, newer: bool) -> None:
+    """Fold one metric reading into a slot: the single per-kind rule.
+
+    Counters sum their deltas and histograms merge their ``{count, sum,
+    min, max}`` summaries; a gauge takes the reading only when
+    ``newer`` — each view's own notion of the latest write.
+    """
+    if kind == "counter":
+        slot["value"] += value
+    elif kind == "gauge":
+        if newer:
+            slot["value"] = value
+    elif kind == "histogram":
+        merged = slot["value"]
+        merged["count"] += value["count"]
+        merged["sum"] += value["sum"]
+        merged["min"] = min(merged["min"], value["min"])
+        merged["max"] = max(merged["max"], value["max"])
+
+
+class TraceFold:
+    """One incremental fold of a trace: what report, watch, diff and
+    alert rules all read.
+
+    :meth:`add` absorbs each event once, in file order, so absorbing a
+    stream in chunks equals absorbing it at once.  Of the trace itself
+    only the span events are kept; the span tree, worker busy time,
+    slowest spans and failures are derived from them when asked.  The
+    attributes are live views — read them, do not mutate them:
+
+    * ``run`` (the first run marker or ``None``), ``trace_id`` (the
+      first event's), ``n_events``, ``last_t_by_pid`` and ``spans``;
+    * ``resources``: per-pid ``{"peak_rss_bytes", "cpu_s"}`` from the
+      throttled ``proc.*`` gauges — the peak RSS seen, and the latest
+      cumulative CPU reading by ``t``;
+    * ``metrics``: ``{name: {"kind", "value"}}``, a gauge keeping its
+      last write in file order;
+    * ``series``: ``{(name, sorted attr items): {"kind", "value", "t",
+      "attrs"}}`` for consumers that need the attribute dimensions, a
+      gauge keeping its latest write by ``t``.
+
+    Both metric views sum counters and merge histograms (one rule,
+    :func:`_merge`).
+    """
+
+    def __init__(self, events: Iterable[dict] = ()) -> None:
+        self.run: dict | None = None
+        self.trace_id: str | None = None
+        self.n_events = 0
+        self._start = math.inf
+        self._end = -math.inf
+        self.last_t_by_pid: dict[int, float] = {}
+        self.spans: list[dict] = []
+        self.resources: dict[int, dict] = {}
+        self._cpu_t: dict[int, float] = {}
+        self.metrics: dict[str, dict] = {}
+        self.series: dict[tuple[str, tuple], dict[str, Any]] = {}
+        self.add(events)
+
+    def add(self, events: Iterable[dict]) -> None:
+        """Absorb events appended after everything absorbed so far."""
+        last_t_by_pid = self.last_t_by_pid
+        for event in events:
+            kind, t, pid = event["event"], event["t"], event["pid"]
+            if not self.n_events:
+                self.trace_id = event["trace"]
+            self.n_events += 1
+            end = t + (event["dur_s"] if kind == "span" else 0.0)
+            if t < self._start:
+                self._start = t
+            if end > self._end:
+                self._end = end
+            last = last_t_by_pid.get(pid)
+            if last is None or t > last:
+                last_t_by_pid[pid] = t
+            if kind == "span":
+                self.spans.append(event)
+            elif kind == "metric":
+                self._add_metric(event, t, pid)
+            elif kind == "run" and self.run is None:
+                self.run = event
+
+    def _add_metric(self, event: dict, t: float, pid: int) -> None:
+        name, kind, value = event["name"], event["kind"], event["value"]
+        attrs = event.get("attrs", {})
+        slot = self.metrics.get(name)
+        if slot is None:
+            self.metrics[name] = _new_slot(kind, value)
+        else:
+            _merge(slot, kind, value, True)
+        key = (name, tuple(sorted(attrs.items())))
+        slot = self.series.get(key)
+        if slot is None:
+            self.series[key] = _new_slot(kind, value, t=t, attrs=dict(attrs))
+        else:
+            _merge(slot, kind, value, t >= slot["t"])
+            slot["t"] = max(slot["t"], t)
+        if kind != "gauge" or name not in _PROC_GAUGES:
+            return
+        proc = self.resources.setdefault(
+            pid, {"peak_rss_bytes": None, "cpu_s": None}
+        )
+        reading = float(value)
+        if name == "proc.rss_bytes":
+            if proc["peak_rss_bytes"] is None or reading > proc["peak_rss_bytes"]:
+                proc["peak_rss_bytes"] = reading
+        elif t >= self._cpu_t.get(pid, 0.0):
+            proc["cpu_s"] = reading
+            self._cpu_t[pid] = t
+
+    @property
+    def wall_s(self) -> float:
+        """First event start to last span end (0.0 when empty)."""
+        return (self._end - self._start) if self.n_events else 0.0
+
+    def tree(self) -> dict[tuple[str, ...], dict]:
+        """The :func:`span_totals` aggregate of the spans."""
+        return span_totals(self.spans)
+
+    def workers(self) -> dict[int, dict]:
+        """Per-pid ``{"busy_s", "spans"}``; busy time counts only
+        process-root spans (parent in another process or nowhere) —
+        nested spans would double-count their parents' wall time."""
+        by_id = {event["span"]: event for event in self.spans}
+        workers: dict[int, dict] = {}
+        for event in self.spans:
+            slot = workers.setdefault(
+                event["pid"], {"busy_s": 0.0, "spans": 0}
+            )
+            slot["spans"] += 1
+            parent = event.get("parent")
+            parent_event = by_id.get(parent) if parent is not None else None
+            if parent_event is None or parent_event["pid"] != event["pid"]:
+                slot["busy_s"] += float(event["dur_s"])
+        return workers
+
+    def failed(self) -> list[dict]:
+        """The failed span events, in file order."""
+        return [event for event in self.spans if event["status"] == "failed"]
+
+    def cache(self) -> dict[str, Any]:
+        """``lookups``, ``memory_hit``, ``disk_hit``, ``computed`` and
+        ``hit_rate``; empty without cache counters."""
+        if not any(name in self.metrics for name in _CACHE_COUNTERS):
+            return {}
+        cache = {
+            name.split(".", 1)[1]: self.metrics.get(name, {}).get("value", 0.0)
+            for name in _CACHE_COUNTERS
+        }
+        hits = cache["memory_hit"] + cache["disk_hit"]
+        cache["lookups"] = lookups = hits + cache["computed"]
+        cache["hit_rate"] = hits / lookups if lookups else None
+        return cache
+
+    def resilience(self) -> dict[str, int]:
+        """The non-zero :data:`RESILIENCE_COUNTERS`, in display order."""
+        return {
+            name: int(self.metrics[name]["value"])
+            for name in RESILIENCE_COUNTERS
+            if name in self.metrics and self.metrics[name]["value"]
+        }
+
 
 def _format_attrs(attrs: dict[str, Any], limit: int = 3) -> str:
     parts = [
@@ -397,12 +398,12 @@ def _format_attrs(attrs: dict[str, Any], limit: int = 3) -> str:
 
 
 def render_report(
-    events: list[dict],
+    fold: TraceFold,
     top: int = 10,
     live_source: bool = False,
     profile: dict | None = None,
 ) -> str:
-    """The full ``repro report`` text for one trace's events.
+    """The full ``repro report`` text for one trace's :class:`TraceFold`.
 
     ``live_source`` marks events read from a per-run trace sink (as
     opposed to a closed BENCH artefact): a live trace with no closed
@@ -413,33 +414,32 @@ def render_report(
     (:func:`repro.obs.profile.load_profile`); when given, the report
     ends with the top-``top`` hot functions folded per span path.
     """
-    summary = summarize(events)
-    run = summary["run"]
-    lines: list[str] = []
-
-    if not events:
+    if not fold.n_events:
         return (
             "Trace is empty — no events recorded.\n"
             "  (the run may have crashed before its first flush, or the "
             "sink was truncated)"
         )
 
-    run_id = run["trace"] if run else events[0]["trace"]
+    run = fold.run
+    run_id = run["trace"] if run else fold.trace_id
+    workers = fold.workers()
+    lines: list[str] = []
     lines.append(f"Trace report — run {run_id}")
     lines.append(
-        f"  wall time {summary['wall_s']:.3f} s · "
-        f"{summary['spans']} spans · {summary['events']} events · "
-        f"{len(summary['workers'])} process(es)"
+        f"  wall time {fold.wall_s:.3f} s · "
+        f"{len(fold.spans)} spans · {fold.n_events} events · "
+        f"{len(workers)} process(es)"
     )
     if run and run.get("attrs"):
         lines.append(f"  run attrs: {_format_attrs(run['attrs'], limit=6)}")
-    if live_source and not summary["spans"]:
+    if live_source and not fold.spans:
         lines.append(
             "  run in progress — no closed spans yet "
             f"(tail it live with 'repro watch {run_id}')"
         )
 
-    tree = summary["tree"]
+    tree = fold.tree()
     if tree:
         # The CPU column only earns its width when the trace carries
         # cpu_s at all (schema revision 1.5+); older traces keep the
@@ -450,7 +450,7 @@ def render_report(
             "Wall-time breakdown (spans aggregated by path; "
             "self = exclusive wall):"
         )
-        wall = summary["wall_s"] or 1.0
+        wall = fold.wall_s or 1.0
         for path in sorted(tree):
             slot = tree[path]
             indent = "  " * len(path)
@@ -465,12 +465,11 @@ def render_report(
                 f"self {slot['self_s']:>8.3f} s{cpu}{failed}"
             )
 
-    workers = summary["workers"]
     if workers:
         lines.append("")
         lines.append("Worker utilization (busy = process-root span time):")
-        wall = summary["wall_s"] or 1.0
-        resources = summary["resources"]
+        wall = fold.wall_s or 1.0
+        resources = fold.resources
         for pid in sorted(workers):
             slot = workers[pid]
             line = (
@@ -490,8 +489,8 @@ def render_report(
                 line += f" · peak rss {rss / 1048576.0:>7.1f} MB"
             lines.append(line)
 
-    metrics = summary["metrics"]
-    cache = summary["cache"]
+    metrics = fold.metrics
+    cache = fold.cache()
     if cache:
         lines.append("")
         lines.append(
@@ -502,7 +501,7 @@ def render_report(
             f"({100.0 * (cache['hit_rate'] or 0.0):.1f}% hit rate)"
         )
 
-    resilience = summary["resilience"]
+    resilience = fold.resilience()
     if resilience:
         lines.append("")
         lines.append("Resilience (supervised execution):")
@@ -529,7 +528,9 @@ def render_report(
                 rendered = f"{value:.6g}"
             lines.append(f"  {name:<32} {slot['kind']:<9} {rendered}")
 
-    slowest = summary["slowest"][:top]
+    slowest = sorted(
+        fold.spans, key=lambda event: event["dur_s"], reverse=True
+    )[:top]
     if slowest:
         lines.append("")
         lines.append(f"Slowest spans (top {len(slowest)}):")
@@ -541,7 +542,7 @@ def render_report(
                 f"{event['dur_s']:>9.3f} s  pid {event['pid']}{suffix}"
             )
 
-    failed = summary["failed"]
+    failed = fold.failed()
     if failed:
         lines.append("")
         lines.append(f"Failures ({len(failed)}):")

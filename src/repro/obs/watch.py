@@ -7,7 +7,11 @@ second, and :class:`TraceTail` reads only the bytes appended since the
 last poll (a partial trailing line — a writer mid-append — is held
 back until its newline arrives).
 
-Each frame folds everything tailed so far into one snapshot: overall
+Each frame renders one :class:`~repro.obs.report.TraceFold` of
+everything tailed so far, which absorbs each event once as it arrives:
+a frame reads the folded metrics and resources at a cost independent of
+the run's length, and re-derives only the worker pane from the kept
+span events.  A snapshot shows overall
 and per-campaign/per-fleet progress with throughput and ETA, live
 gauges (windows/s, patients/s), cache hit rate, per-worker span counts
 and busy time with straggler flags (a worker gone quiet while the run
@@ -31,7 +35,7 @@ from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from .alerts import AlertRule, breached, evaluate_rules, render_outcomes
-from .report import RESILIENCE_COUNTERS, TraceTail, metric_series, summarize
+from .report import RESILIENCE_COUNTERS, TraceFold, TraceTail
 
 __all__ = [
     "WatchState",
@@ -59,26 +63,23 @@ class WatchState:
 
     ``update`` absorbs new events; ``snapshot`` produces the JSON-safe
     structure :func:`render_frame` renders (and tests assert on).  The
-    state keeps the full event list — alert evaluation and the
-    span/metric folds reuse the report's aggregation functions over it,
-    so watch and report can never disagree about a number.
+    state holds the report's own :class:`TraceFold` — alert rules and
+    the report read the same fold, so watch and report can never
+    disagree about a number — plus a bounded deque of progress samples
+    per gauge for rate/ETA; it keeps no event list.
     """
 
     def __init__(self, run_id: str | None = None) -> None:
         self.run_id = run_id
-        self.events: list[dict] = []
+        self.fold = TraceFold()
         self.finished = False
         #: (name, attr items) -> deque[(event t, value)] for rate/ETA.
         self._samples: dict[tuple, deque] = {}
-        self._last_event_by_pid: dict[int, float] = {}
 
     def update(self, events: list[dict]) -> None:
         """Absorb freshly tailed events."""
+        self.fold.add(events)
         for event in events:
-            self.events.append(event)
-            self._last_event_by_pid[event["pid"]] = max(
-                self._last_event_by_pid.get(event["pid"], 0.0), event["t"]
-            )
             if (
                 event["event"] == "metric"
                 and event["kind"] == "gauge"
@@ -192,15 +193,12 @@ class WatchState:
         return entries
 
     def snapshot(self) -> dict[str, Any]:
-        """The dashboard's data: one fold over everything tailed."""
-        summary = summarize(self.events)
-        run = summary["run"]
-        series = metric_series(self.events)
-        metrics = summary["metrics"]
-
+        """The dashboard's data, read off the fold."""
+        fold = self.fold
+        run = fold.run
         gauges = {
             name: slot["value"]
-            for (name, _attrs), slot in sorted(series.items())
+            for (name, _attrs), slot in sorted(fold.series.items())
             if slot["kind"] == "gauge"
             and name.endswith("_per_s")
             and isinstance(slot["value"], (int, float))
@@ -208,25 +206,21 @@ class WatchState:
         }
 
         cache = {}
-        if summary["cache"].get("lookups"):
+        folded_cache = fold.cache()
+        if folded_cache.get("lookups"):
             cache = {
-                "lookups": int(summary["cache"]["lookups"]),
-                "hit_rate": summary["cache"]["hit_rate"],
+                "lookups": int(folded_cache["lookups"]),
+                "hit_rate": folded_cache["hit_rate"],
             }
 
-        last_t = max(
-            (event["t"] for event in self.events), default=None
-        )
+        last_t = max(fold.last_t_by_pid.values(), default=None)
+        busy = fold.workers()
         workers = []
         # Every pid that emitted *anything* counts as a worker — a
         # process mid-span has heartbeat metrics but no closed spans.
-        for pid in sorted(self._last_event_by_pid):
-            slot = summary["workers"].get(pid, {"busy_s": 0.0, "spans": 0})
-            quiet_s = (
-                last_t - self._last_event_by_pid[pid]
-                if last_t is not None
-                else 0.0
-            )
+        for pid in sorted(fold.last_t_by_pid):
+            slot = busy.get(pid, {"busy_s": 0.0, "spans": 0})
+            quiet_s = last_t - fold.last_t_by_pid[pid]
             workers.append(
                 {
                     "pid": pid,
@@ -239,10 +233,10 @@ class WatchState:
                 }
             )
 
-        elapsed_s = summary["wall_s"] if self.events else 0.0
+        elapsed_s = fold.wall_s
         resources = []
-        for pid in sorted(summary["resources"]):
-            proc = summary["resources"][pid]
+        for pid in sorted(fold.resources):
+            proc = fold.resources[pid]
             cpu_s = proc.get("cpu_s")
             cpu_util = (
                 cpu_s / elapsed_s
@@ -258,8 +252,9 @@ class WatchState:
                 }
             )
 
+        metrics = fold.metrics
         failures = {
-            "spans": len(summary["failed"]),
+            "spans": len(fold.failed()),
             "points": int(
                 metrics.get("campaign.points_failed", {}).get("value", 0)
             ),
@@ -275,8 +270,8 @@ class WatchState:
             "run_attrs": dict(run.get("attrs", {})) if run else {},
             "started_t": run["t"] if run else None,
             "elapsed_s": elapsed_s,
-            "events": len(self.events),
-            "spans": summary["spans"],
+            "events": fold.n_events,
+            "spans": len(fold.spans),
             "finished": self.finished,
             "progress": self.progress_entries(),
             "gauges": gauges,
@@ -284,7 +279,7 @@ class WatchState:
             "workers": workers,
             "resources": resources,
             "failures": failures,
-            "resilience": summary["resilience"],
+            "resilience": fold.resilience(),
         }
 
 
@@ -502,7 +497,7 @@ def watch(
         ):
             dead_reason = is_dead()
         if rules:
-            outcomes = evaluate_rules(rules, state.events)
+            outcomes = evaluate_rules(rules, state.fold)
         frame = render_frame(state.snapshot(), outcomes)
         if dead_reason:
             frame += (

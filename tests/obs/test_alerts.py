@@ -15,7 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ObsError
-from repro.obs import load_rules, load_trace
+from repro.obs import TraceFold, load_rules, load_trace
 from repro.obs.alerts import (
     AlertRule,
     breached,
@@ -29,7 +29,7 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.fixture(scope="module")
 def events_b():
-    return load_trace(DATA / "mini_b.jsonl")
+    return TraceFold(load_trace(DATA / "mini_b.jsonl"))
 
 
 def write_rules(tmp_path, text: str) -> Path:
@@ -100,6 +100,11 @@ def test_load_rules_round_trip(tmp_path):
                 {"name": "r", "metric": "m", "max": 2},
             ]},
             "duplicate rule name",
+        ),
+        (
+            {"rule": [{"name": "r", "metric": "cache.hit_rate", "min": 0.5,
+                       "attrs": {"policy": "no-such-policy"}}]},
+            "takes no attrs",
         ),
     ],
 )
@@ -187,7 +192,7 @@ def test_derived_metrics(events_b):
 
 
 def test_derived_hit_rate_missing_without_lookups():
-    events = load_trace(DATA / "mini_partial.jsonl")[:2]  # no cache counters
+    events = TraceFold(load_trace(DATA / "mini_partial.jsonl")[:2])  # no cache counters
     rule = AlertRule(name="warm", metric="cache.hit_rate", min=0.5)
     assert outcome_of(rule, events) == ("missing", False)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs import diff_events, load_trace, render_diff
+from repro.obs import TraceFold, diff_events, load_trace, render_diff
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,8 +22,8 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture(scope="module")
 def diff():
     return diff_events(
-        load_trace(DATA / "mini_a.jsonl"),
-        load_trace(DATA / "mini_b.jsonl"),
+        TraceFold(load_trace(DATA / "mini_a.jsonl")),
+        TraceFold(load_trace(DATA / "mini_b.jsonl")),
     )
 
 
@@ -99,7 +99,7 @@ def test_top_limits_span_rows(diff):
 
 
 def test_identical_runs_have_no_regressions():
-    events = load_trace(DATA / "mini_a.jsonl")
+    events = TraceFold(load_trace(DATA / "mini_a.jsonl"))
     text = render_diff(diff_events(events, events))
     assert "No span-path regressions beyond 25%" in text
     assert "REGRESSION" not in text

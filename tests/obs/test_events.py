@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import load_events, load_trace, render_report
+from repro.obs import TraceFold, load_events, load_trace, render_report
 from repro.obs.events import (
     SCHEMA_VERSION,
     histogram_summary,
@@ -138,7 +138,7 @@ def test_load_trace_round_trips_and_rejects_malformed(tmp_path):
 
 
 def test_render_report_covers_all_sections():
-    text = render_report(_sample_events())
+    text = render_report(TraceFold(_sample_events()))
     assert "run-1" in text
     assert "outer" in text and "inner" in text
     assert "items" in text and "rate" in text and "latency_s" in text
@@ -154,7 +154,7 @@ def test_render_report_resilience_section():
             "run-1", "worker.restarts", "counter", 1.0, t=100.6, pid=7
         ),
     ]
-    text = render_report(events)
+    text = render_report(TraceFold(events))
     assert "Resilience (supervised execution):" in text
     assert "retries" in text and "restarts" in text
     # Resilience counters render in their own section only, with
@@ -166,13 +166,13 @@ def test_render_report_resilience_section():
 def test_render_report_omits_resilience_section_when_clean():
     # No counters at all, and all-zero counters, both stay silent: an
     # undisturbed run's report is byte-stable across the PR.
-    assert "Resilience" not in render_report(_sample_events())
+    assert "Resilience" not in render_report(TraceFold(_sample_events()))
     zeroed = _sample_events() + [
         metric_event(
             "run-1", "work.retries", "counter", 0.0, t=100.6, pid=7
         ),
     ]
-    assert "Resilience" not in render_report(zeroed)
+    assert "Resilience" not in render_report(TraceFold(zeroed))
 
 
 def test_bench_artefacts_speak_the_same_schema(tmp_path, monkeypatch):
@@ -211,4 +211,4 @@ def test_bench_artefacts_speak_the_same_schema(tmp_path, monkeypatch):
     assert benches["schema_roundtrip"]["metrics"] == {
         "speedup": 3.0, "elapsed_s": 0.5,
     }
-    assert "speedup" in render_report(events)
+    assert "speedup" in render_report(TraceFold(events))

@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ObsError
-from repro.obs import load_trace, metric_totals, span_totals
+from repro.obs import TraceFold, load_trace, span_totals
 
 
 def _events_by_kind(path):
@@ -88,7 +88,7 @@ def test_metrics_fold_per_flush(tmp_path):
         obs.gauge("rate", 20.0)
     obs.disable()
 
-    folded = metric_totals(load_trace(sink))
+    folded = TraceFold(load_trace(sink)).metrics
     assert folded["ticks"] == {"kind": "counter", "value": 1000.0}
     assert folded["bytes"]["value"] == 512.0
     assert folded["wait_s"]["value"] == {
@@ -168,5 +168,5 @@ def test_four_worker_pool_spans_parent_onto_owner(tmp_path):
     assert os.getpid() not in worker_pids
 
     # Worker counters merged across processes at read time.
-    folded = metric_totals(load_trace(sink))
+    folded = TraceFold(load_trace(sink)).metrics
     assert folded["units.done"]["value"] == 12.0
