@@ -289,6 +289,76 @@ def test_fault_sampler_speedup():
     )
 
 
+def test_fault_site_fabric(monkeypatch):
+    """Codec words with and without the fault-site-only fabric.
+
+    ``dwt`` under SEC/DED over 40 trials of the paper's 16,384-word
+    array at 0.65 V (~0.3% of the words hold a fault), record 100 at
+    8 s.  The dense leg forces every roundtrip down the whole-stack path
+    by setting the fabric's density switch below zero; the shipped leg
+    runs the codec only on fault-bearing words.  Outputs must be equal.
+    The gated ``codec_word_reduction`` (dense codec words / site-only
+    codec words) is deterministic; the times are reported, not gated.
+    """
+    from repro.emt import SecDedEMT
+    from repro.energy.technology import TECH_32NM_LP
+    from repro.mem import fabric as fabric_module
+    from repro.signals.dataset import load_record
+
+    class CountingSecDed(SecDedEMT):
+        words = 0
+
+        def encode(self, payload, checked=False):
+            CountingSecDed.words += np.size(payload)
+            return super().encode(payload, checked)
+
+        def decode(self, stored, side, stats=None, checked=False):
+            CountingSecDed.words += np.size(stored)
+            return super().decode(stored, side, stats, checked)
+
+    n_trials, voltage = 40, 0.65
+    app = make_app("dwt")
+    samples = load_record("100", duration_s=8.0).samples
+    fault_map = sample_fault_map_batch(
+        n_trials, 16384, 22, TECH_32NM_LP.ber(voltage),
+        np.random.default_rng((20160314, 65)),
+    )
+
+    def run():
+        CountingSecDed.words = 0
+        fabric = MemoryFabric(
+            CountingSecDed(), fault_map=fault_map, collect_decode_stats=False
+        )
+        return app.run_batch(samples, fabric), CountingSecDed.words
+
+    (sparse_out, sparse_words), sparse_s = time_call(run, repeat=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(fabric_module, "_SPARSE_WORD_RATIO", -1.0)
+        (dense_out, dense_words), dense_s = time_call(run, repeat=3)
+    assert np.array_equal(sparse_out, dense_out)
+
+    write_bench(
+        "fault_site_fabric",
+        metrics={
+            "dense_codec_words": dense_words,
+            "sparse_codec_words": sparse_words,
+            "codec_word_reduction": dense_words / sparse_words,
+            "dense_s": dense_s,
+            "sparse_s": sparse_s,
+            "speedup": dense_s / sparse_s,
+        },
+        gate=("codec_word_reduction",),
+        meta={
+            "app": "dwt",
+            "emt": "secded",
+            "voltage": voltage,
+            "n_trials": n_trials,
+            "record": "100",
+            "duration_s": 8.0,
+        },
+    )
+
+
 def test_popcount_native_vs_swar():
     """Micro-benchmark: ``np.bitwise_count`` vs the SWAR fallback.
 

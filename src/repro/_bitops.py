@@ -76,11 +76,13 @@ def to_signed(patterns: np.ndarray, width: int) -> np.ndarray:
     the trial-batched hot path).
     """
     arr = np.asarray(patterns, dtype=np.int64)
-    magnitude = np.bitwise_and(arr, bit_mask(width))
+    out = np.bitwise_and(arr, bit_mask(width))
     # (m ^ 2**(w-1)) - 2**(w-1): adds the offset below the sign point,
-    # subtracts it above — two's complement in two vector ops.
+    # subtracts it above — two's complement in two in-place vector ops.
     sign_bit = np.int64(1) << np.int64(width - 1)
-    return np.bitwise_xor(magnitude, sign_bit) - sign_bit
+    out ^= sign_bit
+    out -= sign_bit
+    return out
 
 
 #: Whether the running numpy provides the native popcount ufunc

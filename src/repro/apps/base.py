@@ -110,8 +110,8 @@ class BiomedicalApp(ABC):
         returns ``(full, tail)`` where ``full`` is a ``(1, W, window)``
         array of the leading complete windows (``None`` when there are
         none) ready for a single stacked roundtrip, and ``tail`` is the
-        remaining samples — processed through the classic path so
-        partial windows keep their historical handling.
+        remaining samples — processed window by window so partial
+        windows keep their historical handling.
         """
         if not getattr(fabric, "window_stacking", False):
             return None, arr
@@ -134,9 +134,9 @@ class BiomedicalApp(ABC):
 
         The shared chunking engine of the batchable applications: on a
         window-stacking fabric every complete window rides one stacked
-        call, and the trailing partial window takes the historical
-        per-window path — zero-padded first when ``pad`` is set, its
-        padding trimmed from the output when ``trim`` is set.  Output
+        call, and the trailing partial window follows on its own —
+        zero-padded first when ``pad`` is set, its padding trimmed from
+        the output when ``trim`` is set.  Output
         windows concatenate along the last axis in window order,
         exactly as the historical loop emitted them.
         """

@@ -229,8 +229,8 @@ class CompressedSensingApp(BiomedicalApp):
     def run(self, samples: np.ndarray, fabric: MemoryFabric) -> np.ndarray:
         arr = self._check_samples(samples)
         # Complete blocks (of every stream) stack into one projection on
-        # a batched fabric; the zero-padded trailing block keeps the
-        # classic path (measurements are emitted untrimmed, as before).
+        # a batched fabric; the zero-padded trailing block follows on
+        # its own (measurements are emitted untrimmed, as before).
         return self._run_in_windows(
             arr,
             self.block_size,

@@ -174,7 +174,7 @@ class DwtApp(BiomedicalApp):
         arr = self._check_samples(samples)
         # On a batched fabric, all complete windows (of every stream)
         # ride the pipeline as one stacked roundtrip per buffer; a
-        # trailing partial window keeps the classic path.  Identical
+        # trailing partial window follows as a stack of one.  Identical
         # values — windows are independent through the fabric.
         return self._run_in_windows(
             arr,

@@ -115,8 +115,8 @@ class MatrixFilterApp(BiomedicalApp):
     def run(self, samples: np.ndarray, fabric: MemoryFabric) -> np.ndarray:
         arr = self._check_samples(samples)
         # Complete windows (of every stream) stack into batched matmuls
-        # on a batched fabric; the zero-padded trailing window keeps the
-        # classic path (its padding trimmed from the output as before).
+        # on a batched fabric; the zero-padded trailing window follows
+        # on its own (its padding trimmed from the output as before).
         return self._run_in_windows(
             arr,
             self.block_size * self.block_size,

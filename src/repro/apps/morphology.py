@@ -137,8 +137,8 @@ class MorphologicalFilterApp(BiomedicalApp):
         arr = self._check_samples(samples)
         # Complete windows (of every stream) stack into one batched
         # roundtrip per buffer on a batched fabric; the trailing partial
-        # window (and every window on a classic fabric) takes the
-        # historical loop.
+        # window follows on its own (and every window on a classic
+        # fabric takes the historical loop).
         return self._run_in_windows(
             arr,
             self.window,

@@ -61,6 +61,12 @@ class EMT(ABC):
       (16 for no-protection and DREAM, 22 for SEC/DED),
     * ``side_bits`` — width of the per-word record written to the
       error-free side memory (5 for DREAM, 0 otherwise).
+
+    Clean-word contract: an intact stored word decodes to its payload,
+    ``decode(encode(x)) == x``, with zero ``corrected`` and zero
+    ``detected_uncorrectable`` in the :class:`DecodeStats`.  The memory
+    fabric relies on it to run the codec only on the words that hold a
+    fault; every other word reads back as its input.
     """
 
     #: Registry label, overridden by subclasses.

@@ -236,12 +236,12 @@ def trial_snrs(
     """
     n_trials = shared_maps.n_trials
     keep = np.int64(bit_mask(emt.stored_bits))
-    # A trial's restricted map holds a fault iff the OR of all its mask
-    # words meets the kept columns.
-    touched = np.bitwise_or.reduce(
-        shared_maps.set_mask, axis=-1
-    ) | np.bitwise_or.reduce(shared_maps.clear_mask, axis=-1)
-    faulty = (touched & keep) != 0
+    # A trial's restricted map holds a fault iff one of its fault sites
+    # meets the kept columns; the shared map's sites serve every EMT.
+    _address, trial, set_bits, inv_clear = shared_maps.fault_sites()
+    hit = ((set_bits | ~inv_clear) & keep) != 0
+    faulty = np.zeros(n_trials, dtype=bool)
+    faulty[trial[hit]] = True
     # Each trial reads the result of its own row, or, fault-free, of the
     # first fault-free trial's row (argmin finds it; unused if none).
     source = np.where(faulty, np.arange(n_trials), np.argmin(faulty))
@@ -250,13 +250,17 @@ def trial_snrs(
     fault_map = shared_maps.restricted_trials(rows, emt.stored_bits)
     per_signal = []
     for samples in signals:
-        fabric = MemoryFabric(
-            emt,
-            fault_map=fault_map,
-            geometry=geometry,
-            collect_decode_stats=False,
+        # Each fabric is dropped as soon as its signal has run, before
+        # the next one allocates its cells.
+        outputs = app.run_batch(
+            samples,
+            MemoryFabric(
+                emt,
+                fault_map=fault_map,
+                geometry=geometry,
+                collect_decode_stats=False,
+            ),
         )
-        outputs = app.run_batch(samples, fabric)
         per_signal.append(
             app.output_snr_batch(samples, outputs, cap_db=cap_db)[expand]
         )

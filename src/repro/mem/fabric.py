@@ -12,6 +12,12 @@ with DREAM's side information held in a separate always-correct array
 the application exactly where the paper's platform lets it: in the input,
 intermediate and output buffers living in the voltage-scaled memory.
 
+On a batched Monte-Carlo fabric that pipeline runs only where it can
+change a word: a word whose fault mask is zero reads back as it was
+written under every codec, so a stacked roundtrip encodes, corrupts and
+decodes the fault-bearing words alone and copies the rest through
+(bit-identical, counters included; see :meth:`MemoryFabric.roundtrip`).
+
 The fabric also keeps the counters the energy model consumes (reads and
 writes to the data and mask memories) and an optional access trace for
 the MPSoC crossbar simulator.
@@ -19,6 +25,7 @@ the MPSoC crossbar simulator.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +38,18 @@ from .layout import PAPER_GEOMETRY, AddressMap, MemoryGeometry
 from .sram import FaultySRAM
 
 __all__ = ["BufferHandle", "AccessEvent", "MemoryFabric"]
+
+#: Largest share of a buffer's (trial, address) words that may hold a
+#: fault for a stacked roundtrip to run the codec on those words alone;
+#: above it every word is encoded, corrupted and decoded, and a map
+#: above it as a whole (a Fig 2 position map: every word) never builds
+#: its fault sites.  The site-only path pays a full sign-extending copy
+#: plus a gather and a scatter per site.  On (40, 2, 1024) stacks it
+#: breaks even with the dense path near 25% of the words for ``none``,
+#: whose dense path is three vector passes, and near 70-80% for
+#: ``dream`` and ``secded`` (2-CPU x86-64, numpy 2.4).  The paper's
+#: 0.50-0.90 V grid peaks at 23% (0.50 V, 22 bits) and 17% (16 bits).
+_SPARSE_WORD_RATIO = 0.3
 
 
 @dataclass(frozen=True)
@@ -82,8 +101,10 @@ class MemoryFabric:
         collect_decode_stats: maintain the per-decode correction
             counters in ``stats.decode``.  The Monte-Carlo quality
             drivers only consume SNRs, so they turn this off — the
-            counters cost several extra whole-array passes per decode
-            (SEC/DED classifies every word three ways to count them).
+            counters cost extra passes over every decoded word (SEC/DED
+            classifies each word three ways to count them).  A stacked
+            roundtrip decodes only fault-bearing words; each clean word
+            adds to ``words`` alone, as its decode would.
 
     Example:
         >>> import numpy as np
@@ -130,6 +151,9 @@ class MemoryFabric:
         self.stats = FabricStats()
         self.collect_decode_stats = collect_decode_stats
         self.trace: list[AccessEvent] | None = [] if record_trace else None
+        # Buffer base -> end of the raw last window a stacked roundtrip
+        # left in the cells (see ``_park``).
+        self._pending: dict[int, int] = {}
 
     @property
     def n_trials(self) -> int:
@@ -231,6 +255,7 @@ class MemoryFabric:
             )
         # ``to_unsigned`` masks to ``data_bits``, so the codec's range
         # scan is redundant here.
+        self._settle()
         payload = to_unsigned(signed, self.emt.data_bits)
         stored, side = self.emt.encode(payload, checked=True)
         # Static buffers are contiguous: slice addressing lets the SRAM
@@ -262,6 +287,7 @@ class MemoryFabric:
                 f"cannot read {count} words from {handle.length}-word "
                 f"buffer {handle.name!r}"
             )
+        self._settle()
         addresses = slice(handle.base, handle.base + count)
         # View read: every EMT decoder derives fresh arrays before the
         # fabric hands anything to the application, so the cells are
@@ -316,38 +342,62 @@ class MemoryFabric:
         one static allocation layout (identical addresses — a
         precondition for bit-identical corruption).
 
-        On a batched fabric, 3-D ``(n_trials | 1, n_windows, k)`` values
-        take the window-stacked fast path (see :attr:`window_stacking`):
-        every window of every trial round-trips in one vectorised pass,
-        bit-identical to looping the windows through :meth:`write` /
-        :meth:`read` one at a time.
+        On a :attr:`window_stacking` fabric every roundtrip takes the
+        window-stacked path: 3-D ``(n_trials | 1, n_windows, k)`` values
+        round-trip every window of every trial in one vectorised pass,
+        and 1-D and 2-D values ride it as a single window — bit-identical
+        to looping the windows through :meth:`write` / :meth:`read` one
+        at a time.
         """
         signed = np.asarray(values, dtype=np.int64)
         n_words = int(signed.shape[-1]) if signed.ndim else 0
         handle = self.allocate(name, max(n_words, 1))
         if signed.ndim == 3:
             return self._roundtrip_stacked(handle, signed)
+        if (
+            self.window_stacking
+            and n_words
+            and (signed.ndim == 1 or signed.shape[0] == self.n_trials)
+        ):
+            window = signed.reshape(-1, 1, n_words)
+            return self._roundtrip_stacked(
+                handle, window, as_write_read=True
+            ).reshape(self.n_trials, n_words)
         self.write(handle, signed)
         return self.read(handle, n_words)
 
     def _roundtrip_stacked(
-        self, handle: BufferHandle, signed: np.ndarray
+        self,
+        handle: BufferHandle,
+        signed: np.ndarray,
+        as_write_read: bool = False,
     ) -> np.ndarray:
         """Window-stacked roundtrip: ``(n_trials, n_windows, k)`` at once.
 
         Semantically equivalent to looping ``write(w); read(w)`` over
         the window axis: corruption-on-write means every window reads
-        back ``apply(encode(window))``, and the cells (and side memory)
-        are left holding the *last* window — the sequential end state.
+        back ``decode(apply(encode(window)))``, and the cells (and side
+        memory) are left holding the *last* window — the sequential end
+        state, written lazily (see :meth:`_park`).
+
+        A word whose mask is zero reads back unchanged under every
+        codec (the :class:`~repro.emt.base.EMT` clean-word contract),
+        so while at most :data:`_SPARSE_WORD_RATIO` of the buffer's
+        (trial, address) words hold a fault, only those words are
+        encoded, corrupted and decoded, across every window; every
+        other word is its input, sign-extended.  Counters advance as
+        the window loop would advance them; ``as_write_read`` counts
+        side reads as :meth:`read` does, whenever side memory exists,
+        where a stack counts them only when the codec emits side words
+        (the two differ for a :class:`~repro.emt.hybrid.HybridEMT` whose
+        active member keeps no side information).
         """
         if not self.window_stacking:
             raise MemoryModelError(
                 "window-stacked roundtrips need a batched, untraced fabric"
             )
         n_trials = self.n_trials
-        if signed.shape[0] == 1:
-            signed = np.broadcast_to(signed, (n_trials,) + signed.shape[1:])
-        elif signed.shape[0] != n_trials:
+        if signed.shape[0] not in (1, n_trials):
             raise MemoryModelError(
                 f"window stack carries {signed.shape[0]} trial rows for a "
                 f"{n_trials}-trial fabric"
@@ -358,6 +408,71 @@ class MemoryFabric:
                 f"writing {n_words} words into {handle.length}-word "
                 f"buffer {handle.name!r}"
             )
+        base, stop = handle.base, handle.base + n_words
+        shape = (n_trials, n_windows, n_words)
+        count = n_trials * n_windows * n_words
+        fault_map = self.sram.fault_map
+        sparse = fault_map.faulty_share() <= _SPARSE_WORD_RATIO
+        if sparse:
+            address, trial, set_bits, inv_clear = fault_map.fault_sites()
+            # Bounds in the sites' own dtype, or searchsorted casts them.
+            lo, hi = address.searchsorted(
+                np.array((base, stop), dtype=address.dtype)
+            )
+            sparse = hi - lo <= _SPARSE_WORD_RATIO * n_trials * n_words
+        if not sparse:
+            out, emits_side = self._coded(
+                signed,
+                lambda stored: self.sram.write_readback_stacked(
+                    slice(base, stop), np.broadcast_to(stored, shape)
+                ),
+            )
+        else:
+            sites = slice(lo, hi)
+            rows, columns = trial[sites], address[sites] - base
+            # A clean word decodes to exactly its sign-extended input.
+            out = to_signed(signed, self.emt.data_bits)
+            if out.shape != shape:
+                out = np.broadcast_to(out, shape).copy()
+            out = np.ascontiguousarray(out)
+            # Flat offsets of every window of each fault site: an
+            # (n_windows, m) block, contiguous along the sites.
+            windows = np.arange(n_windows)[:, None] * n_words
+            at = rows * np.int64(n_windows * n_words) + columns + windows
+            source = at if signed.shape[0] == n_trials else columns + windows
+            coded, emits_side = self._coded(
+                signed.reshape(-1).take(source),
+                lambda stored: FaultMap._corrupt(
+                    stored, set_bits[sites], inv_clear[sites]
+                ),
+            )
+            out.reshape(-1)[at] = coded
+            if self.collect_decode_stats:
+                # Clean words decode with nothing to count but themselves.
+                self.stats.decode.words += count - coded.size
+            self.sram.write_count += count
+            self.sram.read_count += count
+        self.stats.data_writes += count
+        self.stats.data_reads += count
+        if emits_side:
+            self.stats.side_writes += count
+        if emits_side or (as_write_read and self._side is not None):
+            self.stats.side_reads += count
+        self._park(base, stop, signed[:, -1, :])
+        return out
+
+    def _coded(
+        self,
+        signed: np.ndarray,
+        corrupt: Callable[[np.ndarray], np.ndarray],
+    ) -> tuple[np.ndarray, bool]:
+        """``decode(corrupt(encode(signed)))``, sign-extended.
+
+        ``corrupt`` may broadcast: a window stack shared by every trial
+        is encoded once.  Returns the words and whether the codec
+        produced side information; decode statistics accrue to
+        ``stats.decode``.
+        """
         payload = to_unsigned(signed, self.emt.data_bits)
         # NoProtection's encode/decode are identities (modulo defensive
         # copies); short-circuiting them saves two whole-batch copies
@@ -367,26 +482,45 @@ class MemoryFabric:
             stored, side = payload, None
         else:
             stored, side = self.emt.encode(payload, checked=True)
-        addresses = slice(handle.base, handle.base + n_words)
-        corrupted = self.sram.write_readback_stacked(addresses, stored)
-        count = n_words * n_windows * n_trials
-        self.stats.data_writes += count
-        self.stats.data_reads += count
+        corrupted = corrupt(stored)
         if side is not None:
-            if self._side is None:  # pragma: no cover - guarded by side_bits
-                raise MemoryModelError("EMT produced side info unexpectedly")
-            self._side[:, addresses] = side[:, -1, :]
-            self.stats.side_writes += count
-            self.stats.side_reads += count
+            side = np.broadcast_to(side, corrupted.shape)
+        stats = self.stats.decode if self.collect_decode_stats else None
         if identity:
-            if self.collect_decode_stats:
-                self.stats.decode.words += corrupted.size
+            if stats is not None:
+                stats.words += corrupted.size
             decoded = corrupted
         else:
-            decoded = self.emt.decode(
-                corrupted,
-                side,
-                self.stats.decode if self.collect_decode_stats else None,
-                checked=True,
-            )
-        return to_signed(decoded, self.emt.data_bits)
+            decoded = self.emt.decode(corrupted, side, stats, checked=True)
+        return to_signed(decoded, self.emt.data_bits), side is not None
+
+    # -- deferred end state ------------------------------------------------
+
+    def _park(self, start: int, stop: int, last: np.ndarray) -> None:
+        """Leave the raw last window in the cells, encoded on demand.
+
+        A stacked roundtrip must leave the cells and side memory holding
+        its last window, but only a later :meth:`write` or :meth:`read`
+        can observe them, so the window's signed values are stored in
+        place and their address range marked pending; :meth:`_settle`
+        encodes and corrupts them when first needed.  A shorter
+        roundtrip to a still-pending buffer rewrites only its own
+        prefix, so the pending range widens to cover both.  The window
+        is encoded with the codec in effect when it settles: a
+        :class:`~repro.emt.hybrid.HybridEMT` switched in between encodes
+        it with its new member.
+        """
+        self.sram._cells[:, start:stop] = last
+        self._pending[start] = max(stop, self._pending.get(start, stop))
+
+    def _settle(self) -> None:
+        """Encode every pending range in place: the sequential end state."""
+        cells = self.sram._cells
+        for start, stop in self._pending.items():
+            addresses = slice(start, stop)
+            payload = to_unsigned(cells[:, addresses], self.emt.data_bits)
+            stored, side = self.emt.encode(payload, checked=True)
+            cells[:, addresses] = self.sram.fault_map.apply(stored, addresses)
+            if side is not None:
+                self._side[:, addresses] = side
+        self._pending.clear()

@@ -210,6 +210,58 @@ class FaultMap:
             object.__setattr__(self, "_inv_clear_cache", cached)
         return cached
 
+    def _faulty_words(self) -> np.ndarray:
+        """``(n_trials, n_words)`` booleans: which masks are non-zero."""
+        faulty = np.atleast_2d(self.set_mask) != 0
+        faulty |= np.atleast_2d(self.clear_mask) != 0
+        return faulty
+
+    def faulty_share(self) -> float:
+        """Share of the (trial, address) words holding a fault, cached.
+
+        Read off the cached :meth:`fault_sites` when they exist, so a
+        map too faulty for them to pay never has to build them.
+        """
+        cached = getattr(self, "_faulty_share_cache", None)
+        if cached is None:
+            sites = getattr(self, "_fault_sites_cache", None)
+            faulty = (
+                sites[0].size
+                if sites is not None
+                else np.count_nonzero(self._faulty_words())
+            )
+            cached = faulty / max(self.set_mask.size, 1)
+            object.__setattr__(self, "_faulty_share_cache", cached)
+        return cached
+
+    def fault_sites(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every word with a non-zero mask, sorted by address, cached.
+
+        Returns ``(address, trial, set, inv_clear)``: the site's word
+        address and trial row (0 for a single-trial map), as ``int32``,
+        and its ``set_mask`` and ``~clear_mask`` words, ordered by
+        address and, within one address, by trial.  The fabric picks a
+        buffer's sites with one ``searchsorted`` on ``address``;
+        computing them once per map keeps ``nonzero`` off every
+        roundtrip.
+        """
+        cached = getattr(self, "_fault_sites_cache", None)
+        if cached is None:
+            set_mask = np.atleast_2d(self.set_mask)
+            clear_mask = np.atleast_2d(self.clear_mask)
+            # The transpose makes nonzero's C order address-major.
+            address, trial = np.nonzero(self._faulty_words().T)
+            cached = (
+                address.astype(np.int32),
+                trial.astype(np.int32),
+                set_mask[trial, address],
+                ~clear_mask[trial, address],
+            )
+            object.__setattr__(self, "_fault_sites_cache", cached)
+        return cached
+
     def apply(
         self,
         words: np.ndarray,
@@ -340,7 +392,11 @@ class FaultMap:
 
         Equal to ``restricted_to(word_bits)`` followed by taking the
         rows, but the rows are gathered once and restricted in place, so
-        no full-size restricted copy is ever held beside them.
+        no full-size restricted copy is ever held beside them.  When
+        ``rows`` ascend without repeats (as ``np.unique`` returns them),
+        the result's :meth:`fault_sites` are derived from this map's,
+        masked to the kept columns, instead of rescanning its masks.
+        Every row at full width is the map itself, shared, not copied.
         """
         if not self.is_batched:
             raise MemoryModelError("trial rows require a batched (2-D) map")
@@ -349,12 +405,37 @@ class FaultMap:
                 f"cannot restrict a {self.word_bits}-bit fault map to "
                 f"{word_bits} bits"
             )
+        rows = np.asarray(rows, dtype=np.int64)
+        if word_bits == self.word_bits and np.array_equal(
+            rows, np.arange(self.n_trials)
+        ):
+            return self
         keep = np.int64(bit_mask(word_bits))
         set_rows = self.set_mask[rows]
         clear_rows = self.clear_mask[rows]
         np.bitwise_and(set_rows, keep, out=set_rows)
         np.bitwise_and(clear_rows, keep, out=clear_rows)
-        return FaultMap._trusted(word_bits, set_rows, clear_rows)
+        restricted = FaultMap._trusted(word_bits, set_rows, clear_rows)
+        if rows.size and np.all(rows[1:] > rows[:-1]):
+            address, trial, set_bits, inv_clear = self.fault_sites()
+            set_bits = set_bits & keep
+            clear_bits = ~inv_clear & keep
+            # Old trial -> new row, -1 for a trial not taken.
+            row_of = np.full(self.n_trials, -1, dtype=np.int32)
+            row_of[rows] = np.arange(rows.size)
+            row = row_of[trial]
+            hit = np.flatnonzero(((set_bits | clear_bits) != 0) & (row >= 0))
+            object.__setattr__(
+                restricted,
+                "_fault_sites_cache",
+                (
+                    address[hit],
+                    row[hit],
+                    set_bits[hit],
+                    ~clear_bits[hit],
+                ),
+            )
+        return restricted
 
     def restricted_to_words(self, start: int, length: int) -> "FaultMap":
         """Keep only the faults inside the word range [start, start+length).
