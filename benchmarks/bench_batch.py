@@ -359,6 +359,75 @@ def test_fault_site_fabric(monkeypatch):
     )
 
 
+def test_footprint_sampling():
+    """Fault sampling over the app's footprint vs over the whole array.
+
+    The ``sweep_mc``-shaped batch: ``dwt`` under none, DREAM and SEC/DED
+    over 40 runs of the paper's 16,384-word array at 0.65 V, record 100
+    at 8 s.  The bounded leg draws failure sites and stuck values only
+    for the words dwt's buffers occupy and advances the generator past
+    the rest; the full leg draws every word.  Both must leave the
+    generator in the same state and give every EMT the same per-run
+    SNRs.  The gated ``sampled_bit_reduction`` (failure-site bits drawn
+    per run, full / bounded) is deterministic; the times are reported,
+    not gated.
+    """
+    from repro.energy.technology import TECH_32NM_LP
+    from repro.exp.common import corpus_footprint, trial_snrs
+    from repro.signals.dataset import load_record
+    from repro.signals.metrics import SNR_CAP_DB
+
+    n_trials, voltage, n_words = 40, 0.65, 16384
+    app = make_app("dwt")
+    emts = [make_emt(name) for name in ("none", "dream", "secded")]
+    widest = max(emt.stored_bits for emt in emts)
+    signals = (load_record("100", duration_s=8.0).samples,)
+    live_words = corpus_footprint(app, signals)
+    ber = TECH_32NM_LP.ber(voltage)
+
+    def draw(bound):
+        rng = np.random.default_rng((20160314, 65))
+        fault_map = sample_fault_map_batch(
+            n_trials, n_words, widest, ber, rng, live_words=bound
+        )
+        return fault_map, rng.bit_generator.state
+
+    (full_map, full_state), full_s = time_call(lambda: draw(None), repeat=3)
+    (bounded_map, bounded_state), bounded_s = time_call(
+        lambda: draw(live_words), repeat=3
+    )
+    assert bounded_state == full_state
+    for emt in emts:
+        assert np.array_equal(
+            trial_snrs(app, emt, bounded_map, signals, SNR_CAP_DB),
+            trial_snrs(app, emt, full_map, signals, SNR_CAP_DB),
+        )
+
+    full_bits = n_words * widest
+    bounded_bits = bounded_map.live_words * widest
+    write_bench(
+        "footprint_sampling",
+        metrics={
+            "full_sampled_bits": full_bits,
+            "bounded_sampled_bits": bounded_bits,
+            "sampled_bit_reduction": full_bits / bounded_bits,
+            "full_s": full_s,
+            "bounded_s": bounded_s,
+            "speedup": full_s / bounded_s,
+        },
+        gate=("sampled_bit_reduction",),
+        meta={
+            "app": "dwt",
+            "emts": ["none", "dream", "secded"],
+            "voltage": voltage,
+            "n_trials": n_trials,
+            "live_words": live_words,
+            "record": "100",
+            "duration_s": 8.0,
+        },
+    )
+
+
 def test_popcount_native_vs_swar():
     """Micro-benchmark: ``np.bitwise_count`` vs the SWAR fallback.
 

@@ -57,7 +57,8 @@ class BiomedicalApp(ABC):
     supports_batch: bool = False
 
     def __init__(self) -> None:
-        self._reference_cache: dict[bytes, np.ndarray] = {}
+        # Samples -> (clean output, words its buffers occupied).
+        self._reference_cache: dict[bytes, tuple[np.ndarray, int]] = {}
 
     # -- core ----------------------------------------------------------------
 
@@ -168,13 +169,32 @@ class BiomedicalApp(ABC):
 
     # -- quality evaluation ----------------------------------------------------
 
-    def reference_output(self, samples: np.ndarray) -> np.ndarray:
-        """The error-free ("theoretical") output for ``samples``, cached."""
+    def _clean_run(self, samples: np.ndarray) -> tuple[np.ndarray, int]:
+        """One cached run on :func:`clean_fabric`: output and footprint."""
         arr = self._check_samples(samples)
         key = arr.tobytes()
-        if key not in self._reference_cache:
-            self._reference_cache[key] = self.run(arr, clean_fabric())
-        return self._reference_cache[key]
+        cached = self._reference_cache.get(key)
+        if cached is None:
+            fabric = clean_fabric()
+            cached = (self.run(arr, fabric), fabric.words_allocated)
+            self._reference_cache[key] = cached
+        return cached
+
+    def reference_output(self, samples: np.ndarray) -> np.ndarray:
+        """The error-free ("theoretical") output for ``samples``, cached."""
+        return self._clean_run(samples)[0]
+
+    def footprint_words(self, samples: np.ndarray) -> int:
+        """Words the buffers of a run on ``samples`` occupy, cached.
+
+        Read off the clean run behind :meth:`reference_output`.  For a
+        :attr:`supports_batch` application the buffer sizes follow from
+        the sample count alone, so every fabric — faulty, batched, any
+        EMT — allocates exactly these words, and a Monte-Carlo fault map
+        need only be sampled for them.  Applications with data-dependent
+        control flow may allocate differently under faults.
+        """
+        return self._clean_run(samples)[1]
 
     def output_snr(
         self,

@@ -44,6 +44,7 @@ from ..signals.metrics import SNR_CAP_DB
 __all__ = [
     "ExperimentConfig",
     "MonteCarloResult",
+    "corpus_footprint",
     "default_runs",
     "load_corpus",
     "run_monte_carlo",
@@ -178,7 +179,10 @@ def run_monte_carlo(
 
     All ``config.n_runs`` defect samples are drawn as one stacked batch
     at the widest stored width among ``emts`` and restricted to each
-    technique's width, so all EMTs face the same error locations; every
+    technique's width, so all EMTs face the same error locations.  The
+    draw covers only the words the application's buffers occupy
+    (:func:`corpus_footprint`), skipping the stream past the rest, so a
+    run whose faults all lie outside them counts as fault-free; every
     (EMT, record) pair then makes a single trial-batched pipeline pass
     through :func:`trial_snrs`, which runs only the runs whose
     restricted map holds a fault plus one fault-free run.  The per-run
@@ -196,11 +200,12 @@ def run_monte_carlo(
         raise ExperimentError("at least one EMT is required")
     widest = max(emt.stored_bits for emt in emts.values())
     rng = np.random.default_rng((config.seed, grid_seed))
+    signals = tuple(corpus.values())
 
     shared_maps = sample_fault_map_batch(
-        config.n_runs, config.geometry.n_words, widest, ber, rng
+        config.n_runs, config.geometry.n_words, widest, ber, rng,
+        live_words=corpus_footprint(app, signals),
     )
-    signals = tuple(corpus.values())
     result = MonteCarloResult(n_runs=config.n_runs)
     for name, emt in emts.items():
         per_record = trial_snrs(
@@ -212,6 +217,21 @@ def run_monte_carlo(
         result.snr_mean_db[name] = float(runs.mean())
         result.snr_std_db[name] = float(runs.std())
     return result
+
+
+def corpus_footprint(
+    app: BiomedicalApp, signals: tuple[np.ndarray, ...]
+) -> int | None:
+    """The words a fault map must cover for ``app`` over ``signals``.
+
+    The largest :meth:`~repro.apps.base.BiomedicalApp.footprint_words`
+    over the signals for an application that :attr:`supports_batch`;
+    ``None`` (the whole array) for one whose allocations may depend on
+    the corrupted data.
+    """
+    if not app.supports_batch:
+        return None
+    return max(app.footprint_words(samples) for samples in signals)
 
 
 def trial_snrs(

@@ -188,7 +188,13 @@ class MemoryFabric:
     # -- allocation ---------------------------------------------------------
 
     def allocate(self, name: str, n_words: int) -> BufferHandle:
-        """Reserve ``n_words`` for buffer ``name`` (idempotent by name)."""
+        """Reserve ``n_words`` for buffer ``name`` (idempotent by name).
+
+        A fault map sampled only for its first ``live_words`` words
+        (:attr:`~repro.mem.faults.FaultMap.live_words`) bounds the
+        allocation: a buffer past the bound would read cells a full
+        draw could have made faulty, so it raises instead.
+        """
         if n_words <= 0:
             raise MemoryModelError(
                 f"buffer size must be positive, got {n_words}"
@@ -206,6 +212,14 @@ class MemoryFabric:
                 f"out of data memory allocating {n_words} words for "
                 f"{name!r} ({self._next_free} already in use of "
                 f"{self.sram.geometry.n_words})"
+            )
+        live = self.sram.fault_map.live_words
+        if live is not None and self._next_free + n_words > live:
+            raise MemoryModelError(
+                f"buffer {name!r} would end at word "
+                f"{self._next_free + n_words}, past the {live} words its "
+                f"fault map was sampled for; sample the map with a larger "
+                f"live_words (or none)"
             )
         handle = BufferHandle(name=name, base=self._next_free, length=n_words)
         self._buffers[name] = handle

@@ -33,7 +33,10 @@ The batched sampler does only the work that can change a mask: where a
 trial's failed cells are few, it reads the stuck-value uniforms at those
 cells alone and skips the rest of the PCG64 stream with
 ``advance`` — the same doubles, the same end state, a fraction of the
-draws.
+draws.  Given the words an application's buffers occupy
+(``live_words``), it draws both blocks for those words only and skips
+the rest of each block the same way; the map then records the bound,
+and a fabric refuses to allocate past it.
 """
 
 from __future__ import annotations
@@ -96,6 +99,13 @@ class FaultMap:
             a single trial, ``(n_trials, n_words)`` for a stacked batch
             of independent defect samples.
         clear_mask: per-word mask of bits stuck at '0' (same shape).
+        live_words: ``None`` for a map sampled over the whole array;
+            otherwise the map was sampled only for words
+            ``[0, live_words)`` and its masks are zero beyond them,
+            where a full draw could have placed faults.  A
+            :class:`~repro.mem.fabric.MemoryFabric` refuses to allocate
+            a buffer past the bound, so a bounded map can never stand
+            in silently for a full one.
 
     A bit cannot be stuck at both values; the constructor rejects
     overlapping masks.
@@ -104,10 +114,15 @@ class FaultMap:
     word_bits: int
     set_mask: np.ndarray
     clear_mask: np.ndarray
+    live_words: int | None = None
 
     @classmethod
     def _trusted(
-        cls, word_bits: int, set_mask: np.ndarray, clear_mask: np.ndarray
+        cls,
+        word_bits: int,
+        set_mask: np.ndarray,
+        clear_mask: np.ndarray,
+        live_words: int | None = None,
     ) -> "FaultMap":
         """Construct without re-validating provably well-formed masks.
 
@@ -122,6 +137,7 @@ class FaultMap:
         object.__setattr__(self, "word_bits", word_bits)
         object.__setattr__(self, "set_mask", set_mask)
         object.__setattr__(self, "clear_mask", clear_mask)
+        object.__setattr__(self, "live_words", live_words)
         return self
 
     def __post_init__(self) -> None:
@@ -152,6 +168,17 @@ class FaultMap:
             raise MemoryModelError(
                 "a bit cannot be stuck at both '0' and '1'"
             )
+        live = self.live_words
+        if live is not None:
+            if not 0 <= live <= set_arr.shape[-1]:
+                raise MemoryModelError(
+                    f"live_words {live} outside [0, {set_arr.shape[-1]}]"
+                )
+            if np.any(set_arr[..., live:]) or np.any(clear_arr[..., live:]):
+                raise MemoryModelError(
+                    f"a map bounded to {live} live words holds faults "
+                    f"beyond them"
+                )
         object.__setattr__(self, "set_mask", set_arr)
         object.__setattr__(self, "clear_mask", clear_arr)
 
@@ -187,7 +214,10 @@ class FaultMap:
                 f"trial index {index} outside [0, {self.n_trials})"
             )
         return FaultMap._trusted(
-            self.word_bits, self.set_mask[index], self.clear_mask[index]
+            self.word_bits,
+            self.set_mask[index],
+            self.clear_mask[index],
+            self.live_words,
         )
 
     @property
@@ -385,6 +415,7 @@ class FaultMap:
             word_bits,
             np.bitwise_and(self.set_mask, keep),
             np.bitwise_and(self.clear_mask, keep),
+            self.live_words,
         )
 
     def restricted_trials(self, rows: np.ndarray, word_bits: int) -> "FaultMap":
@@ -415,7 +446,9 @@ class FaultMap:
         clear_rows = self.clear_mask[rows]
         np.bitwise_and(set_rows, keep, out=set_rows)
         np.bitwise_and(clear_rows, keep, out=clear_rows)
-        restricted = FaultMap._trusted(word_bits, set_rows, clear_rows)
+        restricted = FaultMap._trusted(
+            word_bits, set_rows, clear_rows, self.live_words
+        )
         if rows.size and np.all(rows[1:] > rows[:-1]):
             address, trial, set_bits, inv_clear = self.fault_sites()
             set_bits = set_bits & keep
@@ -459,6 +492,7 @@ class FaultMap:
             self.word_bits,
             np.where(inside, self.set_mask, 0),
             np.where(inside, self.clear_mask, 0),
+            self.live_words,
         )
 
 
@@ -539,6 +573,8 @@ def sample_fault_map_batch(
     word_bits: int,
     ber: float,
     rng: np.random.Generator,
+    *,
+    live_words: int | None = None,
 ) -> FaultMap:
     """Draw ``n_trials`` Monte-Carlo fault maps as one stacked batch.
 
@@ -550,11 +586,19 @@ def sample_fault_map_batch(
     sequential call would have seen, and the generator ends in the same
     state (property-tested).
 
-    The failure-site block is always drawn in full.  For a ``PCG64``
-    generator and a trial whose failed cells are at most
-    :data:`_SPARSE_STUCK_RATIO` of its bits, the stuck-value block is
-    read only at those cells, advancing the stream past the rest; any
-    other trial or generator draws the whole block.
+    For a ``PCG64`` generator the stream is skipped wherever its doubles
+    cannot change a mask that will be read (a PCG64 double consumes one
+    64-bit output, so ``advance(k)`` skips ``k`` uniforms):
+
+    * ``live_words`` bounds both blocks to words ``[0, live_words)``:
+      their uniforms are drawn and the rest of each block is advanced
+      past, so every mask beyond the bound is zero and the returned map
+      records the bound (see :attr:`FaultMap.live_words`).  Callers pass
+      the words their application's buffers occupy.
+    * A trial whose failed cells are at most :data:`_SPARSE_STUCK_RATIO`
+      of its live bits reads its stuck values only at those cells.
+
+    Any other generator draws every block in full and ignores the bound.
     """
     if n_trials < 1:
         raise MemoryModelError(f"n_trials must be >= 1, got {n_trials}")
@@ -564,22 +608,28 @@ def sample_fault_map_batch(
         raise MemoryModelError(f"BER must be in [0, 1], got {ber}")
     if n_words < 0:
         raise MemoryModelError(f"n_words must be non-negative, got {n_words}")
+    if live_words is not None and live_words < 0:
+        raise MemoryModelError(
+            f"live_words must be non-negative, got {live_words}"
+        )
+    bit_generator = rng.bit_generator
+    skips = type(bit_generator) is np.random.PCG64
+    bound = (
+        min(live_words, n_words) if skips and live_words is not None else None
+    )
     if ber == 0.0 or n_words == 0:
         # Sequential draws at BER 0 consume no randomness; neither may we.
         zeros = np.zeros((n_trials, n_words), dtype=np.int64)
-        return FaultMap._trusted(word_bits, zeros, zeros.copy())
+        return FaultMap._trusted(word_bits, zeros, zeros.copy(), bound)
 
-    n_bits = n_words * word_bits
-    bit_generator = rng.bit_generator
+    live = n_words if bound is None else bound
+    n_bits, live_bits = n_words * word_bits, live * word_bits
+    dead_bits = n_bits - live_bits
     # Only PCG64 can skip; a trial above the limit draws its whole block.
-    sparse_limit = (
-        int(_SPARSE_STUCK_RATIO * n_bits)
-        if type(bit_generator) is np.random.PCG64
-        else -1
-    )
+    sparse_limit = int(_SPARSE_STUCK_RATIO * live_bits) if skips else -1
     # Skipping ahead clears PCG64's buffered 32-bit half; the dense draw
     # never touches it, so it is put back once the batch is drawn.
-    pending_half = bit_generator.state if sparse_limit >= 0 else None
+    pending_half = bit_generator.state if skips else None
     set_mask = np.zeros((n_trials, n_words), dtype=np.int64)
     clear_mask = np.zeros((n_trials, n_words), dtype=np.int64)
     # Draw per trial, block by block, into one reused buffer: one block
@@ -588,10 +638,12 @@ def sample_fault_map_batch(
     # >1 GB for a 200-run batch and thrash every level of cache.  The
     # stream is unchanged — numpy fills requests C-order, so per-trial
     # draws consume exactly the doubles the sequential loop consumed.
-    uniforms = np.empty((n_words, word_bits))
-    failed = np.empty((n_words, word_bits), dtype=bool)
+    uniforms = np.empty((live, word_bits))
+    failed = np.empty((live, word_bits), dtype=bool)
     for trial in range(n_trials):
         rng.random(out=uniforms)
+        if dead_bits:
+            bit_generator.advance(dead_bits)
         np.less(uniforms, ber, out=failed)
         sites = np.flatnonzero(failed)
         if sites.size <= sparse_limit:
@@ -604,7 +656,9 @@ def sample_fault_map_batch(
             )
         else:
             rng.random(out=uniforms)
-            set_mask[trial], clear_mask[trial] = _pack_masks(
+            if dead_bits:
+                bit_generator.advance(dead_bits)
+            set_mask[trial, :live], clear_mask[trial, :live] = _pack_masks(
                 failed, uniforms < 0.5
             )
     if pending_half is not None and pending_half["has_uint32"]:
@@ -612,7 +666,7 @@ def sample_fault_map_batch(
         state["has_uint32"] = pending_half["has_uint32"]
         state["uinteger"] = pending_half["uinteger"]
         bit_generator.state = state
-    return FaultMap._trusted(word_bits, set_mask, clear_mask)
+    return FaultMap._trusted(word_bits, set_mask, clear_mask, bound)
 
 
 def _stuck_high_at_sites(

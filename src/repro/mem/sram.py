@@ -63,6 +63,13 @@ class FaultySRAM:
             )
         if address_map is not None and address_map.geometry.n_words != geometry.n_words:
             raise MemoryModelError("address map geometry mismatch")
+        if address_map is not None and fault_map.live_words is not None:
+            # Scrambling sends logical words anywhere in the array,
+            # including past the words the bounded map was sampled for.
+            raise MemoryModelError(
+                "a fault map bounded to its live words cannot take an "
+                "address map"
+            )
         self.fault_map = fault_map
         self.address_map = address_map
         # A batched map stacks one independent cell array per trial; all

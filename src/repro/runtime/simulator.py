@@ -53,7 +53,11 @@ from ..emt import make_emt
 from ..energy.accounting import EnergySystemModel
 from ..energy.technology import TECH_32NM_LP, Technology
 from ..errors import MissionError
-from ..exp.common import trial_snrs, validate_registry_names
+from ..exp.common import (
+    corpus_footprint,
+    trial_snrs,
+    validate_registry_names,
+)
 from ..mem.fabric import MemoryFabric
 from ..mem.faults import sample_fault_map, sample_fault_map_batch
 from ..signals.dataset import CATALOG, synthesize_record
@@ -215,6 +219,7 @@ class BatchCalibrator:
         fault_map = sample_fault_map_batch(
             self.n_probe, _PROBE_WORDS, emt.stored_bits,
             min(ber, _MAX_BER), rng,
+            live_words=corpus_footprint(app, (samples,)),
         )
         snrs = trial_snrs(app, emt, fault_map, (samples,), self.snr_cap_db)[0]
         return float(snrs.mean()), float(snrs.std())
@@ -444,21 +449,24 @@ class MissionSimulator:
         )
 
     def _build_schedule(self) -> tuple[list[int], np.ndarray]:
-        """Segment index and stress of every window, in one forward walk
-        that repeats :meth:`MissionSpec.segment_at`'s float arithmetic."""
+        """Segment index and stress of every window.
+
+        A window belongs to the segment whose span holds its start time,
+        as :meth:`MissionSpec.segment_at` assigns it (the last segment
+        takes any start at or past the end).  ``np.cumsum`` adds the
+        durations in order, as a forward walk would, so the boundaries
+        are the same floats and ``searchsorted`` places every window
+        start exactly as the walk did.
+        """
         spec = self.spec
         segments = spec.segments
-        last = len(segments) - 1
-        index, elapsed = 0, segments[0].duration_s
-        indices: list[int] = []
-        for w in range(spec.n_windows):
-            time_s = w * spec.window_s
-            while index < last and not time_s < elapsed:
-                index += 1
-                elapsed += segments[index].duration_s
-            indices.append(index)
+        ends = np.cumsum([segment.duration_s for segment in segments])
+        starts = np.arange(spec.n_windows) * spec.window_s
+        indices = np.minimum(
+            np.searchsorted(ends, starts, side="right"), len(segments) - 1
+        )
         stress = np.asarray([segment.stress for segment in segments])
-        return indices, stress[indices]
+        return indices.tolist(), stress[indices]
 
     @property
     def ladder(self) -> tuple[LadderPoint, ...]:

@@ -51,9 +51,12 @@ def _spy_rows(monkeypatch, app) -> list[int]:
     return rows
 
 
-def _faulty_trials(fault_map, word_bits: int) -> int:
+def _faulty_trials(fault_map, word_bits: int, n_words: int | None = None) -> int:
+    """Trials holding a fault in the low ``word_bits`` of words
+    ``[0, n_words)`` (every word when ``n_words`` is None)."""
     restricted = fault_map.restricted_to(word_bits)
-    return int((restricted.set_mask | restricted.clear_mask).any(axis=-1).sum())
+    faults = (restricted.set_mask | restricted.clear_mask)[:, :n_words]
+    return int(faults.any(axis=-1).sum())
 
 
 @pytest.mark.parametrize("voltage", [0.75, 0.8])
@@ -78,11 +81,22 @@ def test_monte_carlo_runs_faulty_rows_and_one_clean_row(
         config.n_runs, config.geometry.n_words, 22, ber,
         np.random.default_rng((config.seed, GRID_SEED)),
     )
-    faulty = [_faulty_trials(shared, emt.stored_bits) for emt in emts.values()]
+    app = make_app("dwt")
+    footprint = app.footprint_words(corpus["100"])
+    assert footprint < config.geometry.n_words
+    # The sampler draws faults only for the words dwt's buffers occupy,
+    # so a trial whose faults all lie beyond them is fault-free too.
+    faulty = [
+        _faulty_trials(shared, emt.stored_bits, footprint)
+        for emt in emts.values()
+    ]
     # Mixed for every EMT (16-, 16- and 22-bit restrictions).
     assert all(0 < count < config.n_runs for count in faulty)
+    assert all(
+        count < _faulty_trials(shared, emt.stored_bits)
+        for count, emt in zip(faulty, emts.values())
+    )
 
-    app = make_app("dwt")
     rows = _spy_rows(monkeypatch, app)
     run_monte_carlo(app, emts, ber, config, corpus, GRID_SEED)
     assert rows == [count + 1 for count in faulty]
@@ -111,7 +125,8 @@ def test_fault_free_point_runs_one_row(config, corpus, monkeypatch):
 
 
 class TestCalibrator:
-    # ~1 fault per 16,384 x 22 probe: some probes hit, some are clean.
+    # ~0.3 faults per probe over dwt's 5,040-word footprint (22 bits):
+    # some probes hit, some are clean.
     ARGS = ("dwt", "100", 1.0, "secded", 3e-6)
 
     def test_equals_sequential_with_mixed_probes(self, monkeypatch):
