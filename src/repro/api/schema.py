@@ -41,14 +41,23 @@ Defaults match the flags of the per-artefact CLI subcommands removed in
 1.8.0, so a file with only the keys you care about reproduces what the
 equivalent ``repro sweep``/``repro mission``/... invocation always did
 (``tests/api/test_schema.py`` pins this).
+
+A section's keys are its dataclass fields, parsed and dumped by one codec
+(:class:`_Section`): a new key is a new field with a default, coerced by
+its annotation; a key with an irregular form (policies, mixes, the
+battery clip) adds a ``codec`` hook to its field's metadata.  ``null``
+for an optional (``X | None``) key means absent, and string keys accept
+strings and numbers only.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, replace
+import functools
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, ClassVar, Union
+from typing import Any, ClassVar, TypeVar, Union, get_args, get_type_hints
 
 from ..energy.technology import PAPER_VOLTAGE_GRID
 from ..errors import ExperimentSpecError
@@ -110,6 +119,14 @@ def _check_keys(payload: Mapping[str, Any], allowed: tuple, where: str) -> None:
         )
 
 
+def _str(value: Any, where: str) -> str:
+    # Numbers coerce (``workload_record = 100``); null, booleans and
+    # containers are mistakes, not names.
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise _fail(where, f"expected a string, got {value!r}")
+    return str(value)
+
+
 def _str_tuple(value: Any, where: str) -> tuple[str, ...]:
     if isinstance(value, str):
         return tuple(v.strip() for v in value.split(",") if v.strip())
@@ -143,6 +160,12 @@ def _int(value: Any, where: str) -> int:
     raise _fail(where, f"expected an integer, got {value!r}")
 
 
+def _bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise _fail(where, f"expected a boolean, got {value!r}")
+    return value
+
+
 def _mix(value: Any, where: str, value_type=str) -> tuple:
     """Coerce a mix given as ``"a:0.7,b:0.3"`` or ``[["a", 0.7], ...]``."""
     if isinstance(value, str):
@@ -159,6 +182,16 @@ def _mix(value: Any, where: str, value_type=str) -> tuple:
         ) from exc
 
 
+_float_mix = functools.partial(_mix, value_type=float)
+
+
+def _clip(value: Any, where: str) -> tuple[float, float]:
+    clip = _float_tuple(value, where)
+    if len(clip) != 2:
+        raise _fail(where, f"expected [low, high], got {clip}")
+    return clip
+
+
 def _policies(value: Any, where: str) -> tuple:
     """Coerce a policy list: tokens and/or ``{"name", "params"}`` dicts."""
     if isinstance(value, str):
@@ -170,12 +203,8 @@ def _policies(value: Any, where: str) -> tuple:
         elif isinstance(item, Mapping):
             if "name" not in item:
                 raise _fail(where, f"policy mapping needs a 'name': {item!r}")
-            out.append(
-                {
-                    "name": str(item["name"]),
-                    "params": dict(item.get("params", {})),
-                }
-            )
+            out.append({"name": str(item["name"]),
+                        "params": dict(item.get("params", {}))})
         else:
             raise _fail(
                 where,
@@ -187,8 +216,87 @@ def _policies(value: Any, where: str) -> tuple:
     return tuple(out)
 
 
-def _mix_payload(mix: tuple) -> list:
-    return [[name, weight] for name, weight in mix]
+# --------------------------------------------------------------------------
+# The section codec: payload form = the dataclass fields
+# --------------------------------------------------------------------------
+
+#: Field annotation -> ``coerce(value, where)``; a field's
+#: ``metadata["codec"]`` overrides the table.
+_CODECS: dict[Any, Callable[[Any, str], Any]] = {
+    str: _str,
+    int: _int,
+    float: _float,
+    bool: _bool,
+    tuple[str, ...]: _str_tuple,
+    tuple[float, ...]: _float_tuple,
+}
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple[str, ...], tuple]:
+    """A section's allowed keys and per-field ``(key, coerce, optional)``.
+
+    Computed once per class: :func:`dataclasses.fields` and the type
+    hints are too slow to re-derive on every payload.
+    """
+    hints = get_type_hints(cls)
+    plan = []
+    for spec in fields(cls):
+        hint = hints[spec.name]
+        optional = type(None) in get_args(hint)
+        if optional:
+            hint = get_args(hint)[0]
+        coerce = spec.metadata.get("codec") or _CODECS[hint]
+        plan.append((spec.name, coerce, optional))
+    keys = tuple(key for key, _, _ in plan)
+    return (*keys, cls._TAG) if cls._TAG else keys, tuple(plan)
+
+
+_S = TypeVar("_S", bound="_Section")
+
+
+class _Section:
+    """A parameter section whose payload form is its dataclass fields.
+
+    Parsing accepts exactly the field names (plus the ``_TAG`` key) and
+    coerces each present key by its annotation through :data:`_CODECS`
+    or the field's ``codec`` hook; ``null`` for an ``X | None`` field
+    means absent.  Dumping emits the tag, then every required field,
+    then the optional fields that are set, each in declaration order.
+    """
+
+    KIND: ClassVar[str]
+    #: Payload key naming the section variant (``None``: no tag key).
+    _TAG: ClassVar[str | None] = None
+
+    @classmethod
+    def from_payload(
+        cls: type[_S], payload: Mapping[str, Any], where: str
+    ) -> _S:
+        """Parse the section, locating errors under ``where``."""
+        keys, plan = _plan(cls)
+        _check_keys(payload, keys, where)
+        kwargs: dict[str, Any] = {}
+        for key, coerce, optional in plan:
+            if key in payload and not (optional and payload[key] is None):
+                kwargs[key] = coerce(payload[key], f"{where}.{key}")
+        return cls(**kwargs)
+
+    def to_payload(self) -> dict[str, Any]:
+        """The JSON-safe section, fully resolved."""
+        payload: dict[str, Any] = {self._TAG: self.KIND} if self._TAG else {}
+        _, plan = _plan(type(self))
+        for key, _, optional in sorted(plan, key=itemgetter(2)):
+            value = getattr(self, key)
+            if not (optional and value is None):
+                payload[key] = serde.canonicalise(value)
+        return payload
+
+
+class _Figure(_Section):
+    """A ``[figure]`` section: the ``figure`` key names the artefact."""
+
+    _TAG = "figure"
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +305,7 @@ def _mix_payload(mix: tuple) -> list:
 
 
 @dataclass(frozen=True)
-class Fig2Params:
+class Fig2Params(_Figure):
     """Fig 2 bit-significance sweep (``figure = "fig2"``).
 
     Attributes:
@@ -212,33 +320,9 @@ class Fig2Params:
     records: tuple[str, ...] = _DEFAULT_RECORDS
     duration_s: float = _DEFAULT_DURATION_S
 
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any], where: str) -> "Fig2Params":
-        """Parse the ``[figure]`` section keys applicable to fig 2."""
-        _check_keys(payload, ("figure", "apps", "records", "duration_s"), where)
-        kwargs: dict[str, Any] = {}
-        if "apps" in payload:
-            kwargs["apps"] = _str_tuple(payload["apps"], f"{where}.apps")
-        if "records" in payload:
-            kwargs["records"] = _str_tuple(payload["records"], f"{where}.records")
-        if "duration_s" in payload:
-            kwargs["duration_s"] = _float(
-                payload["duration_s"], f"{where}.duration_s"
-            )
-        return cls(**kwargs)
-
-    def to_payload(self) -> dict[str, Any]:
-        """The JSON-safe ``[figure]`` section, fully resolved."""
-        return {
-            "figure": self.KIND,
-            "apps": list(self.apps),
-            "records": list(self.records),
-            "duration_s": self.duration_s,
-        }
-
 
 @dataclass(frozen=True)
-class Fig4Params:
+class Fig4Params(_Figure):
     """Fig 4 SNR-vs-voltage Monte-Carlo sweep (``figure = "fig4"``).
 
     Attributes:
@@ -257,49 +341,9 @@ class Fig4Params:
     duration_s: float = _DEFAULT_DURATION_S
     runs: int = 12
 
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any], where: str) -> "Fig4Params":
-        """Parse the ``[figure]`` section keys applicable to fig 4."""
-        _check_keys(
-            payload,
-            ("figure", "apps", "emts", "voltages", "records", "duration_s",
-             "runs"),
-            where,
-        )
-        kwargs: dict[str, Any] = {}
-        if "apps" in payload:
-            kwargs["apps"] = _str_tuple(payload["apps"], f"{where}.apps")
-        if "emts" in payload:
-            kwargs["emts"] = _str_tuple(payload["emts"], f"{where}.emts")
-        if "voltages" in payload:
-            kwargs["voltages"] = _float_tuple(
-                payload["voltages"], f"{where}.voltages"
-            )
-        if "records" in payload:
-            kwargs["records"] = _str_tuple(payload["records"], f"{where}.records")
-        if "duration_s" in payload:
-            kwargs["duration_s"] = _float(
-                payload["duration_s"], f"{where}.duration_s"
-            )
-        if "runs" in payload:
-            kwargs["runs"] = _int(payload["runs"], f"{where}.runs")
-        return cls(**kwargs)
-
-    def to_payload(self) -> dict[str, Any]:
-        """The JSON-safe ``[figure]`` section, fully resolved."""
-        return {
-            "figure": self.KIND,
-            "apps": list(self.apps),
-            "emts": list(self.emts),
-            "voltages": list(self.voltages),
-            "records": list(self.records),
-            "duration_s": self.duration_s,
-            "runs": self.runs,
-        }
-
 
 @dataclass(frozen=True)
-class EnergyParams:
+class EnergyParams(_Figure):
     """Section VI-B energy/area analysis (``figure = "energy"``).
 
     Attributes:
@@ -317,46 +361,9 @@ class EnergyParams:
     workload_record: str = "100"
     workload_duration_s: float = 10.0
 
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any], where: str) -> "EnergyParams":
-        """Parse the ``[figure]`` section keys applicable to energy."""
-        _check_keys(
-            payload,
-            ("figure", "emts", "voltages", "workload_app", "workload_record",
-             "workload_duration_s"),
-            where,
-        )
-        kwargs: dict[str, Any] = {}
-        if "emts" in payload:
-            kwargs["emts"] = _str_tuple(payload["emts"], f"{where}.emts")
-        if "voltages" in payload:
-            kwargs["voltages"] = _float_tuple(
-                payload["voltages"], f"{where}.voltages"
-            )
-        if "workload_app" in payload:
-            kwargs["workload_app"] = str(payload["workload_app"])
-        if "workload_record" in payload:
-            kwargs["workload_record"] = str(payload["workload_record"])
-        if "workload_duration_s" in payload:
-            kwargs["workload_duration_s"] = _float(
-                payload["workload_duration_s"], f"{where}.workload_duration_s"
-            )
-        return cls(**kwargs)
-
-    def to_payload(self) -> dict[str, Any]:
-        """The JSON-safe ``[figure]`` section, fully resolved."""
-        return {
-            "figure": self.KIND,
-            "emts": list(self.emts),
-            "voltages": list(self.voltages),
-            "workload_app": self.workload_app,
-            "workload_record": self.workload_record,
-            "workload_duration_s": self.workload_duration_s,
-        }
-
 
 @dataclass(frozen=True)
-class TradeoffParams:
+class TradeoffParams(_Figure):
     """Section VI-C quality/energy trade-off (``figure = "tradeoff"``).
 
     Attributes:
@@ -375,48 +382,6 @@ class TradeoffParams:
     duration_s: float = _DEFAULT_DURATION_S
     runs: int = 12
     tolerance_db: float = 1.0
-
-    @classmethod
-    def from_payload(
-        cls, payload: Mapping[str, Any], where: str
-    ) -> "TradeoffParams":
-        """Parse the ``[figure]`` section keys applicable to tradeoff."""
-        _check_keys(
-            payload,
-            ("figure", "app", "emts", "records", "duration_s", "runs",
-             "tolerance_db"),
-            where,
-        )
-        kwargs: dict[str, Any] = {}
-        if "app" in payload:
-            kwargs["app"] = str(payload["app"])
-        if "emts" in payload:
-            kwargs["emts"] = _str_tuple(payload["emts"], f"{where}.emts")
-        if "records" in payload:
-            kwargs["records"] = _str_tuple(payload["records"], f"{where}.records")
-        if "duration_s" in payload:
-            kwargs["duration_s"] = _float(
-                payload["duration_s"], f"{where}.duration_s"
-            )
-        if "runs" in payload:
-            kwargs["runs"] = _int(payload["runs"], f"{where}.runs")
-        if "tolerance_db" in payload:
-            kwargs["tolerance_db"] = _float(
-                payload["tolerance_db"], f"{where}.tolerance_db"
-            )
-        return cls(**kwargs)
-
-    def to_payload(self) -> dict[str, Any]:
-        """The JSON-safe ``[figure]`` section, fully resolved."""
-        return {
-            "figure": self.KIND,
-            "app": self.app,
-            "emts": list(self.emts),
-            "records": list(self.records),
-            "duration_s": self.duration_s,
-            "runs": self.runs,
-            "tolerance_db": self.tolerance_db,
-        }
 
 
 #: Any figure parameter block.
@@ -446,7 +411,7 @@ def _figure_from_payload(payload: Mapping[str, Any], where: str) -> FigureParams
 
 
 @dataclass(frozen=True)
-class SweepParams:
+class SweepParams(_Section):
     """A design-space-exploration sweep campaign.
 
     Attributes:
@@ -467,53 +432,9 @@ class SweepParams:
     runs: int = 6
     tolerance_db: float = 5.0
 
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any], where: str) -> "SweepParams":
-        """Parse the ``[sweep]`` section."""
-        _check_keys(
-            payload,
-            ("apps", "emts", "voltages", "records", "duration_s", "runs",
-             "tolerance_db"),
-            where,
-        )
-        kwargs: dict[str, Any] = {}
-        if "apps" in payload:
-            kwargs["apps"] = _str_tuple(payload["apps"], f"{where}.apps")
-        if "emts" in payload:
-            kwargs["emts"] = _str_tuple(payload["emts"], f"{where}.emts")
-        if "voltages" in payload:
-            kwargs["voltages"] = _float_tuple(
-                payload["voltages"], f"{where}.voltages"
-            )
-        if "records" in payload:
-            kwargs["records"] = _str_tuple(payload["records"], f"{where}.records")
-        if "duration_s" in payload:
-            kwargs["duration_s"] = _float(
-                payload["duration_s"], f"{where}.duration_s"
-            )
-        if "runs" in payload:
-            kwargs["runs"] = _int(payload["runs"], f"{where}.runs")
-        if "tolerance_db" in payload:
-            kwargs["tolerance_db"] = _float(
-                payload["tolerance_db"], f"{where}.tolerance_db"
-            )
-        return cls(**kwargs)
-
-    def to_payload(self) -> dict[str, Any]:
-        """The JSON-safe ``[sweep]`` section, fully resolved."""
-        return {
-            "apps": list(self.apps),
-            "emts": list(self.emts),
-            "voltages": list(self.voltages),
-            "records": list(self.records),
-            "duration_s": self.duration_s,
-            "runs": self.runs,
-            "tolerance_db": self.tolerance_db,
-        }
-
 
 @dataclass(frozen=True)
-class MissionParams:
+class MissionParams(_Section):
     """A closed-loop mission policy comparison.
 
     Attributes:
@@ -530,64 +451,18 @@ class MissionParams:
     KIND: ClassVar[str] = "mission"
 
     scenario: str = "active_day"
-    policies: tuple = ("static-ladder", "quality", "soc", "hysteresis")
+    policies: tuple = field(
+        default=("static-ladder", "quality", "soc", "hysteresis"),
+        metadata={"codec": _policies},
+    )
     duration_scale: float = 1.0
     window_s: float | None = None
     probe_runs: int = 3
     probe_duration_s: float = 4.0
 
-    @classmethod
-    def from_payload(
-        cls, payload: Mapping[str, Any], where: str
-    ) -> "MissionParams":
-        """Parse the ``[mission]`` section."""
-        _check_keys(
-            payload,
-            ("scenario", "policies", "duration_scale", "window_s",
-             "probe_runs", "probe_duration_s"),
-            where,
-        )
-        kwargs: dict[str, Any] = {}
-        if "scenario" in payload:
-            kwargs["scenario"] = str(payload["scenario"])
-        if "policies" in payload:
-            kwargs["policies"] = _policies(
-                payload["policies"], f"{where}.policies"
-            )
-        if "duration_scale" in payload:
-            kwargs["duration_scale"] = _float(
-                payload["duration_scale"], f"{where}.duration_scale"
-            )
-        if "window_s" in payload:
-            kwargs["window_s"] = _float(payload["window_s"], f"{where}.window_s")
-        if "probe_runs" in payload:
-            kwargs["probe_runs"] = _int(
-                payload["probe_runs"], f"{where}.probe_runs"
-            )
-        if "probe_duration_s" in payload:
-            kwargs["probe_duration_s"] = _float(
-                payload["probe_duration_s"], f"{where}.probe_duration_s"
-            )
-        return cls(**kwargs)
-
-    def to_payload(self) -> dict[str, Any]:
-        """The JSON-safe ``[mission]`` section, fully resolved."""
-        payload: dict[str, Any] = {
-            "scenario": self.scenario,
-            "policies": [
-                p if isinstance(p, str) else dict(p) for p in self.policies
-            ],
-            "duration_scale": self.duration_scale,
-            "probe_runs": self.probe_runs,
-            "probe_duration_s": self.probe_duration_s,
-        }
-        if self.window_s is not None:
-            payload["window_s"] = self.window_s
-        return payload
-
 
 @dataclass(frozen=True)
-class CohortParams:
+class CohortParams(_Section):
     """A population fleet simulation.
 
     Attributes:
@@ -610,108 +485,29 @@ class CohortParams:
     KIND: ClassVar[str] = "cohort"
 
     size: int = 200
-    policies: tuple = ("static", "soc", "hysteresis")
-    scenarios: tuple = (("active_day", 0.7), ("overnight", 0.3))
-    pathology: tuple | None = None
-    environment: tuple | None = None
-    shielding: tuple | None = None
+    policies: tuple = field(
+        default=("static", "soc", "hysteresis"),
+        metadata={"codec": _policies},
+    )
+    scenarios: tuple = field(
+        default=(("active_day", 0.7), ("overnight", 0.3)),
+        metadata={"codec": _mix},
+    )
+    pathology: tuple | None = field(default=None, metadata={"codec": _mix})
+    environment: tuple | None = field(
+        default=None, metadata={"codec": _float_mix}
+    )
+    shielding: tuple | None = field(
+        default=None, metadata={"codec": _float_mix}
+    )
     battery_cv: float | None = None
-    battery_clip: tuple[float, float] | None = None
+    battery_clip: tuple[float, float] | None = field(
+        default=None, metadata={"codec": _clip}
+    )
     duration_scale: float = 1.0
     probe_runs: int = 3
     probe_duration_s: float = 4.0
     allow_failed_patients: bool = True
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any], where: str) -> "CohortParams":
-        """Parse the ``[cohort]`` section."""
-        _check_keys(
-            payload,
-            ("size", "policies", "scenarios", "pathology", "environment",
-             "shielding", "battery_cv", "battery_clip", "duration_scale",
-             "probe_runs", "probe_duration_s", "allow_failed_patients"),
-            where,
-        )
-        kwargs: dict[str, Any] = {}
-        if "size" in payload:
-            kwargs["size"] = _int(payload["size"], f"{where}.size")
-        if "policies" in payload:
-            kwargs["policies"] = _policies(
-                payload["policies"], f"{where}.policies"
-            )
-        if "scenarios" in payload:
-            kwargs["scenarios"] = _mix(
-                payload["scenarios"], f"{where}.scenarios"
-            )
-        if payload.get("pathology") is not None:
-            kwargs["pathology"] = _mix(
-                payload["pathology"], f"{where}.pathology"
-            )
-        if payload.get("environment") is not None:
-            kwargs["environment"] = _mix(
-                payload["environment"], f"{where}.environment", float
-            )
-        if payload.get("shielding") is not None:
-            kwargs["shielding"] = _mix(
-                payload["shielding"], f"{where}.shielding", float
-            )
-        if payload.get("battery_cv") is not None:
-            kwargs["battery_cv"] = _float(
-                payload["battery_cv"], f"{where}.battery_cv"
-            )
-        if payload.get("battery_clip") is not None:
-            clip = _float_tuple(payload["battery_clip"], f"{where}.battery_clip")
-            if len(clip) != 2:
-                raise _fail(
-                    f"{where}.battery_clip", f"expected [low, high], got {clip}"
-                )
-            kwargs["battery_clip"] = clip
-        if "duration_scale" in payload:
-            kwargs["duration_scale"] = _float(
-                payload["duration_scale"], f"{where}.duration_scale"
-            )
-        if "probe_runs" in payload:
-            kwargs["probe_runs"] = _int(
-                payload["probe_runs"], f"{where}.probe_runs"
-            )
-        if "probe_duration_s" in payload:
-            kwargs["probe_duration_s"] = _float(
-                payload["probe_duration_s"], f"{where}.probe_duration_s"
-            )
-        if "allow_failed_patients" in payload:
-            value = payload["allow_failed_patients"]
-            if not isinstance(value, bool):
-                raise _fail(
-                    f"{where}.allow_failed_patients",
-                    f"expected a boolean, got {value!r}",
-                )
-            kwargs["allow_failed_patients"] = value
-        return cls(**kwargs)
-
-    def to_payload(self) -> dict[str, Any]:
-        """The JSON-safe ``[cohort]`` section, fully resolved."""
-        payload: dict[str, Any] = {
-            "size": self.size,
-            "policies": [
-                p if isinstance(p, str) else dict(p) for p in self.policies
-            ],
-            "scenarios": _mix_payload(self.scenarios),
-            "duration_scale": self.duration_scale,
-            "probe_runs": self.probe_runs,
-            "probe_duration_s": self.probe_duration_s,
-            "allow_failed_patients": self.allow_failed_patients,
-        }
-        if self.pathology is not None:
-            payload["pathology"] = _mix_payload(self.pathology)
-        if self.environment is not None:
-            payload["environment"] = _mix_payload(self.environment)
-        if self.shielding is not None:
-            payload["shielding"] = _mix_payload(self.shielding)
-        if self.battery_cv is not None:
-            payload["battery_cv"] = self.battery_cv
-        if self.battery_clip is not None:
-            payload["battery_clip"] = list(self.battery_clip)
-        return payload
 
 
 #: ``kind`` -> section parser.
@@ -724,12 +520,6 @@ _KIND_PARSERS = {
 
 #: The workload kinds an experiment can describe.
 EXPERIMENT_KINDS = tuple(_KIND_PARSERS)
-
-_TOP_LEVEL_KEYS = (
-    "version", "kind", "name", "seed", "workers", "backend", "store",
-    *EXPERIMENT_KINDS,
-)
-
 
 # --------------------------------------------------------------------------
 # The experiment envelope
@@ -887,16 +677,13 @@ def experiment_from_payload(payload: Mapping[str, Any]) -> Experiment:
         )
     params = _KIND_PARSERS[kind](section, kind)
     kwargs: dict[str, Any] = {}
-    if payload.get("seed") is not None:
-        kwargs["seed"] = _int(payload["seed"], "experiment.seed")
-    if payload.get("workers") is not None:
-        kwargs["workers"] = _int(payload["workers"], "experiment.workers")
-    if payload.get("backend") is not None:
-        kwargs["backend"] = str(payload["backend"])
-    if payload.get("store") is not None:
-        kwargs["store"] = str(payload["store"])
+    for key, coerce in (("seed", _int), ("workers", _int),
+                        ("backend", _str), ("store", _str)):
+        if payload.get(key) is not None:
+            kwargs[key] = coerce(payload[key], f"experiment.{key}")
     return Experiment(
-        name=str(payload["name"]), kind=kind, params=params, **kwargs
+        name=_str(payload["name"], "experiment.name"), kind=kind,
+        params=params, **kwargs,
     )
 
 

@@ -71,6 +71,10 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+#: Types :func:`canonicalise` returns unchanged (exact types only).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def canonicalise(value: Any) -> Any:
     """Normalise a parameter value for hashing (tuples become lists).
 
@@ -78,6 +82,8 @@ def canonicalise(value: Any) -> Any:
     axes built with ``np.linspace``/``np.arange`` must hash (and store)
     identically to hand-written value tuples.
     """
+    if type(value) in _SCALARS:  # exact: numpy scalars subclass float
+        return value
     if isinstance(value, np.generic):
         return canonicalise(value.item())
     if isinstance(value, np.ndarray):

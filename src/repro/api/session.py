@@ -19,11 +19,11 @@ Every workload kind flows through the same spine:
 * ``mission`` and ``cohort`` experiments plan one campaign over the
   policy axis, evaluated by the ``mission``/``cohort`` evaluator kinds.
 
-Backends decide *how* campaigns run: ``inline`` executes in-process,
-``multiprocessing`` fans points across a worker pool.  Pick one per
-session (``Session(backend=...)``) or per experiment (the ``backend``
-field); register custom backends (e.g. a remote executor) with
-:func:`register_backend`.
+Backends decide *how* campaigns run: ``multiprocessing`` fans points
+across a worker pool, and ``inline`` is its one-worker form, which runs
+in-process.  Pick one per session (``Session(backend=...)``) or per
+experiment (the ``backend`` field); register custom backends (e.g. a
+remote executor) with :func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .schema import (
 
 __all__ = [
     "ExecutionBackend",
-    "InlineBackend",
     "MultiprocessingBackend",
     "BACKENDS",
     "register_backend",
@@ -97,24 +96,6 @@ class ExecutionBackend(ABC):
         progress: ProgressFn | None = None,
     ) -> CampaignResult:
         """Run one campaign and return its result."""
-
-
-class InlineBackend(ExecutionBackend):
-    """Serial in-process execution (no pool, per-point durability)."""
-
-    name = "inline"
-
-    def execute(
-        self,
-        spec: CampaignSpec,
-        store: ResultStore | None = None,
-        resume: bool = True,
-        progress: ProgressFn | None = None,
-    ) -> CampaignResult:
-        """Run every point in this process, in grid order."""
-        return run_campaign(
-            spec, store=store, n_workers=1, progress=progress, resume=resume
-        )
 
 
 class MultiprocessingBackend(ExecutionBackend):
@@ -156,7 +137,7 @@ def _service_backend(workers: int) -> ExecutionBackend:
 
 #: Registry of backend factories: name -> ``factory(workers) -> backend``.
 BACKENDS: dict[str, Callable[[int], ExecutionBackend]] = {
-    "inline": lambda workers: InlineBackend(),
+    "inline": lambda workers: MultiprocessingBackend(1),
     "multiprocessing": lambda workers: MultiprocessingBackend(workers),
     "service": _service_backend,
 }
@@ -862,7 +843,7 @@ class Session:
                     with evaluation_hints(
                         **{planned.intra_point_hint: workers}
                     ):
-                        result = InlineBackend().execute(
+                        result = MultiprocessingBackend(1).execute(
                             planned.spec, store=store, resume=resume,
                             progress=progress,
                         )

@@ -37,11 +37,12 @@ Example:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
+from ..api.serde import canonicalise
 from ..errors import CohortError
 from ..runtime.mission import MissionSpec
 from ..runtime.scenarios import SCENARIOS, scenario_spec
@@ -140,14 +141,7 @@ class PatientModel:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe form, for campaign parameters and stores."""
-        return {
-            "scenario_mix": [list(pair) for pair in self.scenario_mix],
-            "record_mix": [list(pair) for pair in self.record_mix],
-            "environment_mix": [list(pair) for pair in self.environment_mix],
-            "shielding_mix": [list(pair) for pair in self.shielding_mix],
-            "battery_cv": self.battery_cv,
-            "battery_clip": list(self.battery_clip),
-        }
+        return canonicalise(asdict(self))
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "PatientModel":

@@ -20,9 +20,10 @@ through :mod:`repro.campaign` grids unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
+from ..api.serde import canonicalise
 from ..energy.battery import BatteryModel
 from ..errors import MissionError
 
@@ -210,33 +211,7 @@ class MissionSpec:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe form, for campaign parameters and stores."""
-        return {
-            "name": self.name,
-            "app": self.app,
-            "window_s": self.window_s,
-            "voltages": list(self.voltages),
-            "emts": list(self.emts),
-            "battery": {
-                "capacity_mah": self.battery.capacity_mah,
-                "cell_voltage": self.battery.cell_voltage,
-                "usable_fraction": self.battery.usable_fraction,
-            },
-            "platform_power_uw": self.platform_power_uw,
-            "quality_floor_db": self.quality_floor_db,
-            "hint_noise": self.hint_noise,
-            "seed": self.seed,
-            "segments": [
-                {
-                    "name": seg.name,
-                    "duration_s": seg.duration_s,
-                    "record": seg.record,
-                    "noise_gain": seg.noise_gain,
-                    "stress": seg.stress,
-                    "ber_multiplier": seg.ber_multiplier,
-                }
-                for seg in self.segments
-            ],
-        }
+        return canonicalise(asdict(self))
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "MissionSpec":

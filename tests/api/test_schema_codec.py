@@ -274,6 +274,28 @@ MALFORMED = [
                  id="figure-unknown"),
     pytest.param([1, 2], "an experiment payload must be a mapping, got list",
                  id="payload-list"),
+    # String keys reject null, booleans and containers.
+    pytest.param(_env("sweep", {}) | {"name": None},
+                 "experiment.name: expected a string, got None",
+                 id="name-null"),
+    pytest.param(_env("sweep", {}) | {"name": ["a"]},
+                 "experiment.name: expected a string, got ['a']",
+                 id="name-list"),
+    pytest.param(_env("sweep", {}, backend=True),
+                 "experiment.backend: expected a string, got True",
+                 id="backend-bool"),
+    pytest.param(_env("sweep", {}, store={"a": 1}),
+                 "experiment.store: expected a string, got {'a': 1}",
+                 id="store-mapping"),
+    pytest.param(_env("figure", {"figure": "tradeoff", "app": ["dwt"]}),
+                 "figure.app: expected a string, got ['dwt']",
+                 id="app-list"),
+    pytest.param(_env("figure", {"figure": "energy", "workload_app": None}),
+                 "figure.workload_app: expected a string, got None",
+                 id="workload-app-null"),
+    pytest.param(_env("mission", {"scenario": False}),
+                 "mission.scenario: expected a string, got False",
+                 id="scenario-bool"),
 ]
 
 
@@ -380,3 +402,24 @@ shielding = [[1.0, 1.0]]
 battery_cv = 0.2
 battery_clip = [0.6, 1.4]
 """
+
+
+def test_numbers_coerce_to_string_keys():
+    experiment = experiment_from_payload(_env(
+        "figure", {"figure": "energy", "workload_record": 100}
+    ) | {"name": 7})
+    assert experiment.name == "7"
+    assert experiment.params.workload_record == "100"
+
+
+@pytest.mark.parametrize("kind, section, top", [
+    ("mission", {"window_s": None}, {}),
+    ("cohort", {"pathology": None, "environment": None, "shielding": None,
+                "battery_cv": None, "battery_clip": None}, {}),
+    ("sweep", {}, {"seed": None, "workers": None, "backend": None,
+                   "store": None}),
+], ids=["mission", "cohort", "envelope"])
+def test_null_optional_key_means_absent(kind, section, top):
+    assert experiment_from_payload(_env(kind, section, **top)) == (
+        experiment_from_payload(_env(kind, {}))
+    )

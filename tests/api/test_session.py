@@ -8,7 +8,6 @@ from repro.api.results import ResultHandle
 from repro.api.schema import Experiment, Fig2Params, experiment_from_payload
 from repro.api.session import (
     BACKENDS,
-    InlineBackend,
     MultiprocessingBackend,
     Session,
     backend_names,
@@ -43,7 +42,9 @@ class TestBackends:
         assert {"inline", "multiprocessing"} <= set(backend_names())
 
     def test_make_backend(self):
-        assert isinstance(make_backend("inline", 4), InlineBackend)
+        inline = make_backend("inline", 4)
+        assert isinstance(inline, MultiprocessingBackend)
+        assert inline.workers == 1
         backend = make_backend("multiprocessing", 3)
         assert isinstance(backend, MultiprocessingBackend)
         assert backend.workers == 3
@@ -58,12 +59,12 @@ class TestBackends:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ExperimentSpecError, match="already registered"):
-            register_backend("inline", lambda workers: InlineBackend())
+            register_backend("inline", lambda workers: MultiprocessingBackend(1))
 
     def test_custom_backend_selected_per_experiment(self):
         calls = []
 
-        class Recording(InlineBackend):
+        class Recording(MultiprocessingBackend):
             name = "recording"
 
             def execute(self, spec, store=None, resume=True, progress=None):
@@ -71,7 +72,7 @@ class TestBackends:
                 return super().execute(spec, store, resume, progress)
 
         if "recording" not in BACKENDS:
-            register_backend("recording", lambda workers: Recording())
+            register_backend("recording", lambda workers: Recording(1))
         experiment = tiny_fig2("custom-backend", backend="recording")
         handle = Session().run(experiment)
         assert handle.ok
@@ -80,7 +81,7 @@ class TestBackends:
     def test_registered_backend_receives_planned_spec_unchanged(self):
         captured = []
 
-        class Capturing(InlineBackend):
+        class Capturing(MultiprocessingBackend):
             name = "capturing"
 
             def execute(self, spec, store=None, resume=True, progress=None):
@@ -88,7 +89,7 @@ class TestBackends:
                 return super().execute(spec, store, resume, progress)
 
         if "capturing" not in BACKENDS:
-            register_backend("capturing", lambda workers: Capturing())
+            register_backend("capturing", lambda workers: Capturing(1))
         experiment = tiny_fig2("spec-passthrough", backend="capturing")
         assert Session().run(experiment).ok
         planned = Session().plan(experiment)
