@@ -5,9 +5,10 @@ Two complementary reproductions:
 * the paper's *illustrative* operating points — no protection @ 0.85 V,
   DREAM @ 0.65 V, ECC @ 0.55 V — evaluated on our energy model against
   the published 12.7 % / 30.6 % / 39.5 % savings;
-* the *data-derived* policy: a fine-grained DWT Fig 4 sweep determines
-  each EMT's lowest safe voltage for a given tolerance, from which the
-  hybrid voltage-range policy is stitched.
+* the *data-derived* policy: a ``figure = "tradeoff"`` experiment on
+  DWT runs the Fig 4 quality grid and the energy grid, from which each
+  EMT's lowest safe voltage for a given tolerance and the hybrid
+  voltage-range policy are derived.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Session
-from repro.api.schema import Experiment, Fig4Params
+from repro.api.schema import Experiment, TradeoffParams
+from repro.energy.technology import PAPER_VOLTAGE_GRID
 from repro.exp.report import format_paper_example, format_tradeoff
-from repro.exp.tradeoff import paper_example_savings, run_tradeoff
+from repro.exp.tradeoff import paper_example_savings, tradeoff_from_records
 
 
 def test_paper_example_points(benchmark, report_sink):
@@ -43,23 +45,22 @@ def test_data_derived_policy(benchmark, report_sink, bench_config):
     """
 
     def derive():
-        fig4 = Session().run(Experiment(
-            name="tradeoff-fig4",
-            kind="figure",
-            params=Fig4Params(
-                apps=("dwt",),
-                records=bench_config.records,
-                duration_s=bench_config.duration_s,
-                runs=bench_config.n_runs,
-            ),
-        )).result()
-        return (
-            run_tradeoff(fig4, app_name="dwt", tolerance_db=1.0),
-            run_tradeoff(fig4, app_name="dwt", tolerance_db=5.0),
-            fig4,
+        params = TradeoffParams(
+            app="dwt",
+            records=bench_config.records,
+            duration_s=bench_config.duration_s,
+            runs=bench_config.n_runs,
+            tolerance_db=1.0,
+        )
+        handle = Session().run(
+            Experiment(name="tradeoff-dwt", kind="figure", params=params)
+        )
+        # The same records reduce under any tolerance.
+        return handle.result(), tradeoff_from_records(
+            handle.records, "dwt", params.emts, 5.0, PAPER_VOLTAGE_GRID
         )
 
-    (strict, relaxed, fig4) = benchmark.pedantic(derive, rounds=1, iterations=1)
+    (strict, relaxed) = benchmark.pedantic(derive, rounds=1, iterations=1)
     report_sink.add(
         "tradeoff_vi_c",
         format_tradeoff(strict) + "\n\n" + format_tradeoff(relaxed),
@@ -74,4 +75,6 @@ def test_data_derived_policy(benchmark, report_sink, bench_config):
             assert floors["secded"] <= floors["dream"]
         # The policy tiles contiguously from the nominal voltage.
         if result.policy:
-            assert result.policy[0].v_max == pytest.approx(max(fig4.voltages))
+            assert result.policy[0].v_max == pytest.approx(
+                max(PAPER_VOLTAGE_GRID)
+            )

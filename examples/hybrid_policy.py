@@ -1,9 +1,10 @@
 """Hybrid EMT policy — Section VI-C as a deployable object.
 
-Derives a voltage-range policy from a (small) Fig 4 sweep of the DWT
-application, loads it into a :class:`repro.emt.HybridEMT`, and walks the
-supply down from 0.90 V to 0.50 V showing which technique the policy
-engages at each point and what it costs/saves.
+Derives a voltage-range policy from a (small) ``figure = "tradeoff"``
+experiment on the DWT application, loads it into a
+:class:`repro.emt.HybridEMT`, and walks the supply down from 0.90 V to
+0.50 V showing which technique the policy engages at each point and
+what it costs/saves.
 
 Run:  python examples/hybrid_policy.py [n_runs]
 """
@@ -15,12 +16,12 @@ import sys
 import numpy as np
 
 from repro.api import Session
-from repro.api.schema import Experiment, Fig4Params
+from repro.api.schema import Experiment, TradeoffParams
 from repro.apps import DwtApp
+from repro.campaign.evaluators import measured_workload
 from repro.emt import DreamEMT, HybridEMT, NoProtection, SecDedEMT, make_emt
 from repro.energy import EnergySystemModel, TECH_32NM_LP
-from repro.exp.energy_table import measure_workload
-from repro.exp.tradeoff import run_tradeoff
+from repro.energy.technology import PAPER_VOLTAGE_GRID
 from repro.mem import MemoryFabric, sample_fault_map
 from repro.mem.layout import PAPER_GEOMETRY
 from repro.signals import load_record
@@ -30,13 +31,13 @@ def main(n_runs: int = 6) -> None:
     experiment = Experiment(
         name="hybrid-policy-sweep",
         kind="figure",
-        params=Fig4Params(
-            apps=("dwt",), records=("100",), duration_s=8.0, runs=n_runs
+        params=TradeoffParams(
+            app="dwt", records=("100",), duration_s=8.0, runs=n_runs,
+            tolerance_db=5.0,
         ),
     )
     print("deriving the policy from a DWT voltage sweep ...")
-    fig4 = Session().run(experiment).result()
-    tradeoff = run_tradeoff(fig4, app_name="dwt", tolerance_db=5.0)
+    tradeoff = Session().run(experiment).result()
 
     print(f"\npolicy (DWT, -{tradeoff.tolerance_db:.0f} dB tolerance):")
     for entry in tradeoff.policy:
@@ -52,11 +53,11 @@ def main(n_runs: int = 6) -> None:
 
     record = load_record("100", duration_s=8.0)
     app = DwtApp()
-    workload = measure_workload("dwt", duration_s=8.0)
+    workload = measured_workload("dwt", duration_s=8.0)
     nominal = EnergySystemModel(make_emt("none")).evaluate(0.90, workload).total_pj
 
     print(f"\n{'V':>5s} {'active EMT':>11s} {'SNR (dB)':>9s} {'energy':>7s}")
-    for voltage in sorted(fig4.voltages, reverse=True):
+    for voltage in sorted(PAPER_VOLTAGE_GRID, reverse=True):
         try:
             hybrid.set_voltage(voltage)
         except Exception:

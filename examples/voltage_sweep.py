@@ -14,9 +14,9 @@ import sys
 
 from repro.api import Session
 from repro.api.schema import Experiment, Fig4Params
+from repro.campaign.evaluators import measured_workload
 from repro.emt import make_emt
 from repro.energy import EnergySystemModel, TECH_32NM_LP
-from repro.exp.energy_table import measure_workload
 
 
 def main(n_runs: int = 8) -> None:
@@ -30,7 +30,7 @@ def main(n_runs: int = 8) -> None:
     )
     print(f"sweeping 0.50-0.90 V, {n_runs} Monte-Carlo runs per point ...\n")
     fig4 = Session().run(experiment).result()
-    workload = measure_workload("dwt", duration_s=8.0)
+    workload = measured_workload("dwt", duration_s=8.0)
 
     models = {
         name: EnergySystemModel(make_emt(name)) for name in

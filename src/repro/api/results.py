@@ -42,7 +42,8 @@ class CampaignRun:
 
     Attributes:
         role: the campaign's role within the experiment (``"main"`` for
-            single-campaign kinds; sweeps use ``"quality"``/``"energy"``).
+            single-campaign kinds; sweeps and trade-offs use
+            ``"quality"``/``"energy"``).
         spec: the campaign spec that was run.
         result: the campaign outcome (records in grid order).
         store: the backing result store, when the campaign persisted.
@@ -235,7 +236,11 @@ class ResultHandle:
         * ``figure``/``fig2`` -> :class:`repro.exp.fig2.Fig2Result`
         * ``figure``/``fig4`` -> :class:`repro.exp.fig4.Fig4Result`
         * ``figure``/``energy`` -> :class:`repro.exp.energy_table.EnergyAnalysis`
-        * ``figure``/``tradeoff`` -> :class:`repro.exp.tradeoff.TradeoffResult`
+        * ``figure``/``tradeoff`` -> :class:`repro.exp.tradeoff.TradeoffResult`,
+          reduced from its quality and energy campaigns' records
+
+        Reducing evaluates no grid point: every number comes from the
+        records the plan's campaigns produced or stored.
         * ``sweep`` -> per-app dict of frontier rows and
           :class:`repro.campaign.analysis.OperatingPoint` lists
         * ``mission`` -> list of :class:`repro.runtime.MissionResult`

@@ -130,10 +130,10 @@ def _str(value: Any, where: str) -> str:
 def _str_tuple(value: Any, where: str) -> tuple[str, ...]:
     if isinstance(value, str):
         return tuple(v.strip() for v in value.split(",") if v.strip())
-    try:
-        return tuple(str(v) for v in value)
-    except TypeError as exc:
-        raise _fail(where, f"expected a list of strings, got {value!r}") from exc
+    if not isinstance(value, (list, tuple)):
+        raise _fail(where, f"expected a list of strings, got {value!r}")
+    # Each element follows the scalar string rule.
+    return tuple(_str(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def _float_tuple(value: Any, where: str) -> tuple[float, ...]:
@@ -196,6 +196,8 @@ def _policies(value: Any, where: str) -> tuple:
     """Coerce a policy list: tokens and/or ``{"name", "params"}`` dicts."""
     if isinstance(value, str):
         value = _str_tuple(value, where)
+    if not isinstance(value, (list, tuple)):
+        raise _fail(where, f"expected a list of policies, got {value!r}")
     out = []
     for item in value:
         if isinstance(item, str):

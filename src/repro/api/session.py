@@ -184,7 +184,7 @@ class PlannedCampaign:
 
     Attributes:
         role: the campaign's role (``"main"``, or ``"quality"``/
-            ``"energy"`` for sweeps).
+            ``"energy"`` for sweeps and trade-offs).
         spec: the grid to run.
         store_name: result-store basename, or ``None`` for an ephemeral
             campaign.
@@ -291,7 +291,6 @@ def _policy_axis(policies: tuple, n_rungs: int | None) -> tuple:
 
 def _plan_figure(experiment: Experiment) -> _Plan:
     """Plan a paper-figure experiment (fig2/fig4/energy/tradeoff)."""
-    from ..energy.technology import PAPER_VOLTAGE_GRID
     from ..exp.energy_table import energy_analysis_from_records, energy_spec
     from ..exp.fig2 import fig2_result_from_records, fig2_spec
     from ..exp.fig4 import fig4_result_from_records, fig4_spec
@@ -299,6 +298,8 @@ def _plan_figure(experiment: Experiment) -> _Plan:
     params = experiment.params
     store = experiment.store
 
+    if isinstance(params, TradeoffParams):
+        return _plan_tradeoff(experiment)
     if isinstance(params, Fig2Params):
         config = _experiment_config(
             params.records, params.duration_s, experiment.seed
@@ -336,27 +337,6 @@ def _plan_figure(experiment: Experiment) -> _Plan:
         reducer = lambda h: energy_analysis_from_records(  # noqa: E731
             h.records, params.emts, params.voltages, workload
         )
-    elif isinstance(params, TradeoffParams):
-        from ..exp.tradeoff import run_tradeoff
-
-        config = _experiment_config(
-            params.records, params.duration_s, experiment.seed, params.runs
-        )
-        spec = fig4_spec(
-            (params.app,), params.emts, PAPER_VOLTAGE_GRID, config,
-            name=experiment.name,
-        )
-
-        def reducer(h, _config=config):
-            fig4 = fig4_result_from_records(
-                h.records, (params.app,), PAPER_VOLTAGE_GRID, _config
-            )
-            return run_tradeoff(
-                fig4,
-                app_name=params.app,
-                tolerance_db=params.tolerance_db,
-                emt_names=params.emts,
-            )
     else:  # pragma: no cover - schema enforces the union
         raise ExperimentSpecError(
             f"unknown figure params {type(params).__name__}"
@@ -365,6 +345,69 @@ def _plan_figure(experiment: Experiment) -> _Plan:
     return _Plan(
         campaigns=(PlannedCampaign("main", spec, store),),
         reducer=reducer,
+        summariser=lambda h: {"figure": params.KIND},
+    )
+
+
+def _workload_energy_spec(
+    name: str,
+    emts: tuple[str, ...],
+    voltages: tuple[float, ...],
+    app: str,
+    record: str,
+    duration_s: float,
+) -> CampaignSpec:
+    """An (EMT, voltage) energy grid priced on ``app``'s own workload.
+
+    The workload is measured in the worker (``app`` run on ``record``
+    for ``duration_s``), so planning measures nothing.
+    """
+    return CampaignSpec(
+        name=name,
+        kind="energy",
+        axes={"emt": emts, "voltage": voltages},
+        fixed={
+            "workload_app": app,
+            "workload_record": record,
+            "workload_duration_s": duration_s,
+        },
+    )
+
+
+def _plan_tradeoff(experiment: Experiment) -> _Plan:
+    """Plan a Section VI-C trade-off: quality grid plus energy grid.
+
+    The quality campaign is the app's Fig 4 grid (point hashes as a
+    ``fig4`` figure's); the energy campaign prices every candidate —
+    and the ``"none"`` savings baseline — on the app's record-100,
+    10 s workload.  Both share the experiment's store.
+    """
+    from ..energy.technology import PAPER_VOLTAGE_GRID
+    from ..exp.fig4 import fig4_spec
+    from ..exp.tradeoff import tradeoff_from_records
+
+    params: TradeoffParams = experiment.params
+    config = _experiment_config(
+        params.records, params.duration_s, experiment.seed, params.runs
+    )
+    quality = fig4_spec(
+        (params.app,), params.emts, PAPER_VOLTAGE_GRID, config,
+        name=experiment.name,
+    )
+    priced = params.emts if "none" in params.emts else ("none", *params.emts)
+    energy = _workload_energy_spec(
+        f"{experiment.name}-energy", priced, PAPER_VOLTAGE_GRID, params.app,
+        record="100", duration_s=10.0,
+    )
+    return _Plan(
+        campaigns=(
+            PlannedCampaign("quality", quality, experiment.store),
+            PlannedCampaign("energy", energy, experiment.store),
+        ),
+        reducer=lambda h: tradeoff_from_records(
+            h.records, params.app, params.emts, params.tolerance_db,
+            PAPER_VOLTAGE_GRID,
+        ),
         summariser=lambda h: {"figure": params.KIND},
     )
 
@@ -403,15 +446,9 @@ def _plan_sweep(experiment: Experiment) -> _Plan:
     # the rest of the app list, so stored energy results survive
     # app-list changes.
     energy = tuple(
-        CampaignSpec(
-            name=f"{base}-energy",
-            kind="energy",
-            axes={"emt": params.emts, "voltage": params.voltages},
-            fixed={
-                "workload_app": app,
-                "workload_record": params.records[0],
-                "workload_duration_s": params.duration_s,
-            },
+        _workload_energy_spec(
+            f"{base}-energy", params.emts, params.voltages, app,
+            record=params.records[0], duration_s=params.duration_s,
         )
         for app in params.apps
     )

@@ -6,7 +6,7 @@ configuration.  This package turns that exploration into a first-class,
 scalable subsystem:
 
 * :mod:`repro.campaign.spec` — a declarative :class:`CampaignSpec`
-  naming the grid's axes, shared parameters and filters;
+  naming the grid's axes and shared parameters;
 * :mod:`repro.campaign.evaluators` — pure per-point scoring functions
   (Monte-Carlo quality, bit-position significance, energy accounting,
   closed-loop missions, population cohorts) with deterministic seeding;

@@ -237,9 +237,9 @@ def extract_tradeoff(
     see a point that failed for every EMT at once.
 
     This is the one implementation of the VI-C rule: sweep experiments
-    call it on their stored records, and
-    :func:`repro.exp.tradeoff.run_tradeoff` on rows it joins from a
-    Fig 4 result.
+    call it per app on their records, and
+    :func:`repro.exp.tradeoff.tradeoff_from_records` on the joined
+    rows of a trade-off experiment's quality and energy campaigns.
     """
     if tolerance_db < 0:
         raise CampaignError("tolerance must be non-negative")

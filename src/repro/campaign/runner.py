@@ -197,11 +197,10 @@ def run_campaign(
             re-executes — but fresh records are still appended, so they
             supersede the stale ones (later records win on load).
         points: explicit point list overriding ``spec.expand()`` — the
-            seam a remote executor uses to ship a grid whose filters
-            (arbitrary callables, applied at expansion time in the
-            submitting process) cannot cross a process boundary.  Point
-            content hashes depend only on kind + merged parameters, so
-            results are identical either way.
+            seam a campaign job uses to replay exactly the points its
+            submitter expanded (``perfbench`` also runs a subset of a
+            grid through it).  Point content hashes depend only on kind
+            + merged parameters, so results are identical either way.
 
     Returns:
         A :class:`CampaignResult` with records in grid order.

@@ -2,12 +2,11 @@
 
 A :class:`CampaignSpec` names the grid the paper's evaluation walks —
 supply voltage x EMT x application x fault model x record x SoC
-configuration — as a set of *named axes* whose Cartesian product, minus
-any filtered combinations, is the campaign's point set.  Each
-:class:`CampaignPoint` carries every parameter its evaluator needs and
-derives a stable content hash from them, which is what the result store
-keys cached results by: re-running a campaign whose points already have
-stored results executes nothing.
+configuration — as a set of *named axes* whose Cartesian product is the
+campaign's point set.  Each :class:`CampaignPoint` carries every
+parameter its evaluator needs and derives a stable content hash from
+them, which is what the result store keys cached results by: re-running
+a campaign whose points already have stored results executes nothing.
 
 Axis values must be JSON-serialisable (numbers, strings, booleans, or
 nested lists/tuples/dicts of those) so points can cross process
@@ -17,7 +16,7 @@ boundaries and hash identically across runs and platforms.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -73,17 +72,12 @@ class CampaignSpec:
             point set is the Cartesian product in axis-declaration order.
         fixed: parameters shared by all points (e.g. records, run counts,
             a serialised technology node).
-        filters: predicates over a point's ``coords``; a combination is
-            kept only if every filter returns true.  Filters run at
-            expansion time in the parent process, so they may be
-            arbitrary (non-serialisable) callables.
     """
 
     name: str
     kind: str
     axes: Mapping[str, tuple]
     fixed: Mapping[str, Any] = field(default_factory=dict)
-    filters: tuple[Callable[[Mapping[str, Any]], bool], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name or "/" in self.name:
@@ -105,22 +99,19 @@ class CampaignSpec:
 
     @property
     def grid_size(self) -> int:
-        """Number of points before filtering."""
+        """Number of grid points."""
         size = 1
         for values in self.axes.values():
             size *= len(tuple(values))
         return size
 
     def expand(self) -> list[CampaignPoint]:
-        """Materialise the filtered point set, in axis-product order."""
+        """Materialise the point set, in axis-product order."""
         names = list(self.axes)
-        points = []
-        for combo in itertools.product(*(self.axes[n] for n in names)):
-            coords = dict(zip(names, combo))
-            if all(keep(coords) for keep in self.filters):
-                points.append(
-                    CampaignPoint(
-                        kind=self.kind, coords=coords, fixed=dict(self.fixed)
-                    )
-                )
-        return points
+        return [
+            CampaignPoint(
+                kind=self.kind, coords=dict(zip(names, combo)),
+                fixed=dict(self.fixed),
+            )
+            for combo in itertools.product(*(self.axes[n] for n in names))
+        ]

@@ -771,8 +771,10 @@ def _cmd_validate(args) -> int:
     session = Session()
     failed = 0
     for path in args.paths:
+        where = ""  # loading errors already name the file
         try:
             experiment = load_experiment(path)
+            where = f"{path}: "
             # validate() also checks what plan() alone would miss
             # (e.g. an unknown execution backend).
             session.validate(experiment)
@@ -780,7 +782,7 @@ def _cmd_validate(args) -> int:
             n_points = sum(len(c.spec.expand()) for c in campaigns)
         except ReproError as error:
             failed += 1
-            print(f"error: {path}: {error}", file=sys.stderr)
+            print(f"error: {where}{error}", file=sys.stderr)
             continue
         kind = experiment.kind
         if kind == "figure":
@@ -1313,13 +1315,13 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_lifetime(args) -> int:
+    from .campaign.evaluators import measured_workload
     from .emt import make_emt
     from .energy.battery import BatteryModel, estimate_lifetime
     from .energy.technology import TECH_32NM_LP
-    from .exp.energy_table import measure_workload
 
     battery = BatteryModel(capacity_mah=args.capacity_mah)
-    workload = measure_workload("dwt")
+    workload = measured_workload("dwt")
     print(f"{args.capacity_mah:.0f} mAh battery, DWT monitoring workload")
     print(f"{'configuration':>24s} {'power':>10s} {'lifetime':>10s}")
     rows = [("none", TECH_32NM_LP.v_nominal), (args.emt, args.voltage)]

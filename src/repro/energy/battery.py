@@ -150,7 +150,7 @@ def estimate_lifetime(
         voltage: data-memory supply voltage.
         battery: the energy source.
         workload: memory activity of processing one acquisition window
-            (e.g. from :func:`repro.exp.energy_table.measure_workload`).
+            (e.g. from :func:`repro.campaign.evaluators.measured_workload`).
         tech: technology node.
         acquisition_window_s: seconds of signal the workload corresponds
             to (sets the duty cycle).

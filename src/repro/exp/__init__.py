@@ -16,14 +16,14 @@ per-experiment index):
 * :mod:`repro.exp.common` — the shared Monte-Carlo machinery.
 
 Each figure has one execution path: ``fig2_spec``/``fig4_spec``/
-``energy_spec`` build its grid as a :class:`repro.campaign.CampaignSpec`,
+``energy_spec`` build its grids as :class:`repro.campaign.CampaignSpec`
+s (a trade-off plans a Fig 4 quality grid plus an energy grid),
 :class:`repro.api.Session` runs a ``kind = "figure"`` experiment through
-the shared campaign runner (parallel, resumable), and the
+the shared campaign runner (parallel, resumable, stored), and the
 ``*_from_records`` reducers turn the records into :class:`Fig2Result`/
-:class:`Fig4Result`/:class:`EnergyAnalysis`; the trade-off reducer
-hands the Fig 4 result to :func:`run_tradeoff`.  :func:`run_fig2` stays
-as the trial-batched in-process Fig 2, a separate and faster
-implementation of the same numbers.
+:class:`Fig4Result`/:class:`EnergyAnalysis`/:class:`TradeoffResult`.
+:func:`run_fig2` stays as the trial-batched in-process Fig 2, a
+separate and faster implementation of the same numbers.
 """
 
 from .common import ExperimentConfig, MonteCarloResult
@@ -31,7 +31,7 @@ from .energy_table import EnergyAnalysis, energy_spec
 from .fig2 import Fig2Result, fig2_spec, run_fig2
 from .fig4 import Fig4Result, fig4_spec
 from .overheads import OverheadRow, overhead_table
-from .tradeoff import TradeoffResult, run_tradeoff
+from .tradeoff import TradeoffResult, tradeoff_from_records
 
 __all__ = [
     "ExperimentConfig",
@@ -44,7 +44,7 @@ __all__ = [
     "EnergyAnalysis",
     "energy_spec",
     "TradeoffResult",
-    "run_tradeoff",
+    "tradeoff_from_records",
     "OverheadRow",
     "overhead_table",
 ]

@@ -16,8 +16,9 @@ and the active-processing time comes from the MPSoC cycle model.
 The (EMT, voltage) grid is expressed as a campaign spec
 (:func:`energy_spec`); a ``figure = "energy"`` experiment runs it
 through :class:`repro.api.Session` and
-:func:`energy_analysis_from_records` reduces the records.  The
-trade-off driver prices its operating points with the same evaluator.
+:func:`energy_analysis_from_records` reduces the records.  Sweep and
+trade-off experiments price their operating points with the same
+``energy`` evaluator.
 """
 
 from __future__ import annotations
@@ -26,24 +27,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..campaign.evaluators import (
-    measured_workload,
-    technology_to_dict,
-    workload_to_dict,
-)
+from ..campaign.evaluators import technology_to_dict, workload_to_dict
 from ..campaign.spec import CampaignSpec
 from ..emt import make_emt
 from ..energy.accounting import EnergySystemModel, Workload
 from ..energy.technology import TECH_32NM_LP, Technology
 from ..errors import EnergyModelError, ExperimentError
-from ..soc.config import SoCConfig
 from .common import validate_registry_names
 
 __all__ = [
     "EnergyAnalysis",
     "energy_analysis_from_records",
     "energy_spec",
-    "measure_workload",
 ]
 
 
@@ -83,26 +78,6 @@ class EnergyAnalysis:
         return self.mean_overhead("secded") - self.mean_overhead("dream")
 
 
-def measure_workload(
-    app_name: str = "dwt",
-    record: str = "100",
-    duration_s: float = 10.0,
-    soc: SoCConfig | None = None,
-) -> Workload:
-    """Derive the accounting workload from a real application run.
-
-    Runs the application against a clean fabric, reads the access
-    counters, and converts the access volume to active processing time
-    with the SoC cycle model (accesses dominate the inner loops of these
-    kernels, so cycles-per-access approximates the activity window).
-    Delegates to :func:`repro.campaign.evaluators.measured_workload`, the
-    same measurement campaign workers perform in-process.
-    """
-    return measured_workload(
-        app_name=app_name, record=record, duration_s=duration_s, soc=soc
-    )
-
-
 def energy_spec(
     emt_names: tuple[str, ...],
     voltages: tuple[float, ...],
@@ -110,7 +85,6 @@ def energy_spec(
     tech: Technology = TECH_32NM_LP,
     mask_memory_scaled: bool = True,
     name: str = "energy-analysis",
-    filters: tuple = (),
 ) -> CampaignSpec:
     """The Section VI-B (EMT, voltage) grid as a campaign spec."""
     validate_registry_names(emt_names=emt_names)
@@ -123,7 +97,6 @@ def energy_spec(
             "tech": technology_to_dict(tech),
             "mask_memory_scaled": mask_memory_scaled,
         },
-        filters=filters,
     )
 
 

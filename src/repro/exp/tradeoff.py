@@ -14,32 +14,36 @@ yielding a three-range hybrid policy ("triggering, selectively, one or
 the other, according to the memory supply voltage"); below 0.55 V only
 multi-error EMTs could maintain a reliable medical output.
 
-The energy evaluations are expressed as (EMT, voltage) campaign grids
-through :func:`repro.exp.energy_table.energy_spec`, executed by the
-shared campaign runner — the same evaluator energy-table and sweep
-experiments use, so all of them price an operating point identically.
-The operating points themselves come from
+A ``figure = "tradeoff"`` experiment plans two campaigns through
+:class:`repro.api.Session`: the Fig 4 quality grid of the application,
+and the (EMT, voltage) energy grid priced on the application's own
+workload (record 100, 10 s), evaluated by the same ``energy`` evaluator
+energy-table and sweep experiments use.  :func:`tradeoff_from_records`
+joins the two into rows and reads the operating points off them with
 :func:`repro.campaign.analysis.extract_tradeoff`, the one
 implementation of the VI-C rule.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from ..campaign.analysis import extract_tradeoff
-from ..campaign.runner import run_campaign
+from ..campaign.analysis import (
+    OperatingPoint,
+    extract_tradeoff,
+    quality_energy_rows,
+)
+from ..campaign.evaluators import measured_workload
+from ..emt import make_emt
 from ..emt.hybrid import VoltageRange
-from ..energy.accounting import Workload
+from ..energy.accounting import EnergySystemModel, Workload
 from ..energy.technology import TECH_32NM_LP, Technology
 from ..errors import ExperimentError
-from .energy_table import energy_spec, measure_workload
-from .fig4 import Fig4Result
 
 __all__ = [
-    "EmtOperatingPoint",
     "TradeoffResult",
-    "run_tradeoff",
+    "tradeoff_from_records",
     "paper_example_savings",
     "PAPER_EXAMPLE_POINTS",
 ]
@@ -54,15 +58,6 @@ PAPER_EXAMPLE_POINTS: tuple[tuple[str, float, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class EmtOperatingPoint:
-    """Lowest safe voltage and resulting saving for one EMT."""
-
-    emt_name: str
-    v_min_safe: float
-    saving_vs_nominal: float
-
-
 @dataclass
 class TradeoffResult:
     """The Section VI-C voltage-range policy for one application."""
@@ -70,7 +65,7 @@ class TradeoffResult:
     app_name: str
     tolerance_db: float
     reference_snr_db: float
-    operating_points: list[EmtOperatingPoint] = field(default_factory=list)
+    operating_points: list[OperatingPoint] = field(default_factory=list)
     policy: list[VoltageRange] = field(default_factory=list)
 
     def best_saving(self) -> float:
@@ -80,112 +75,76 @@ class TradeoffResult:
         return max(p.saving_vs_nominal for p in self.operating_points)
 
 
-def _energy_grid(
+def tradeoff_from_records(
+    records: Iterable[dict],
+    app_name: str,
     emt_names: tuple[str, ...],
+    tolerance_db: float,
     voltages: tuple[float, ...],
-    workload: Workload,
-    tech: Technology,
-    name: str,
-    filters: tuple = (),
-) -> dict[tuple[str, float], float]:
-    """Evaluate an energy campaign and index totals by (EMT, voltage)."""
-    spec = energy_spec(
-        emt_names, voltages, workload, tech, name=name, filters=filters
-    )
-    campaign = run_campaign(spec)
-    campaign.raise_on_failure()
-    return {
-        (rec["params"]["emt"], rec["params"]["voltage"]): rec["result"][
-            "total_pj"
-        ]
-        for rec in campaign.records
-    }
-
-
-def run_tradeoff(
-    fig4: Fig4Result,
-    app_name: str = "dwt",
-    tolerance_db: float = 1.0,
-    emt_names: tuple[str, ...] = ("none", "dream", "secded"),
-    workload: Workload | None = None,
-    tech: Technology = TECH_32NM_LP,
 ) -> TradeoffResult:
-    """Derive the VI-C policy from measured Fig 4 data.
+    """Derive the VI-C policy from quality and energy campaign records.
 
     Args:
-        fig4: a completed Fig 4 sweep containing ``app_name``.
+        records: the ``montecarlo`` records of a Fig 4 grid over
+            ``app_name`` plus the ``energy`` records of the (EMT,
+            voltage) grid priced on its workload — live from a run or
+            reloaded from a result store.
         app_name: application setting the quality requirement.
+        emt_names: candidate techniques, in the order the operating
+            points are listed.
         tolerance_db: allowed degradation below the error-free ceiling
             (the paper uses 1 dB for DWT).
-        emt_names: candidate techniques, cheapest-first preference when
-            building the range policy.
-        workload / tech: energy-model inputs for the savings.
+        voltages: the planned voltage grid; its highest entry is the
+            nominal supply the savings are measured at.
 
     Returns:
         A :class:`TradeoffResult` with per-EMT operating points and the
         stitched hybrid voltage policy.
 
-    The VI-C rule itself — the lowest voltage whose SNR stays within
-    the tolerance, walking down from the top of the sweep without a
-    gap — is :func:`repro.campaign.analysis.extract_tradeoff`; this
-    driver joins the Fig 4 quality with the energy grid into its rows.
+    This is the experiment API's trade-off reducer.  The VI-C rule
+    itself — the lowest voltage whose SNR stays within the tolerance,
+    walking down from the top of the grid without a gap — is
+    :func:`repro.campaign.analysis.extract_tradeoff`.
     """
-    if app_name not in fig4.points:
-        raise ExperimentError(f"fig4 result has no app {app_name!r}")
     if tolerance_db < 0:
         raise ExperimentError("tolerance must be non-negative")
-    workload = workload or measure_workload(app_name)
-
-    grid_emts = emt_names if "none" in emt_names else ("none", *emt_names)
-    energy = _energy_grid(
-        grid_emts, tuple(fig4.voltages), workload, tech,
-        name=f"tradeoff-{app_name}",
-    )
-    quality = fig4.points[app_name]
+    records = list(records)
     rows = [
-        {
-            "emt": name,
-            "voltage": voltage,
-            "snr_db": quality[voltage].snr_mean_db[name],
-            "energy_pj": energy[(name, voltage)],
-        }
-        for name in emt_names
-        for voltage in fig4.voltages
+        row for row in quality_energy_rows(records, app_name)
+        if row["emt"] in emt_names
     ]
-    v_nominal = max(fig4.voltages)
+    if not rows:
+        raise ExperimentError(
+            f"records hold no quality/energy rows for app {app_name!r}"
+        )
+    v_nominal = max(voltages)
     if "none" not in emt_names:
         # The savings baseline is priced even when it is not a
         # candidate; its -inf SNR keeps it out of the ceiling and policy.
-        rows.append({
-            "emt": "none", "voltage": v_nominal, "snr_db": float("-inf"),
-            "energy_pj": energy[("none", v_nominal)],
-        })
+        rows += [
+            {"emt": "none", "voltage": v_nominal, "snr_db": float("-inf"),
+             "energy_pj": rec["result"]["total_pj"]}
+            for rec in records
+            if rec.get("kind") == "energy" and rec.get("status") == "ok"
+            and rec["params"].get("workload_app", app_name) == app_name
+            and rec["params"]["emt"] == "none"
+            and rec["params"]["voltage"] == v_nominal
+        ]
     safe = {
         point.emt_name: point
-        for point in extract_tradeoff(
-            rows, tolerance_db, voltages=fig4.voltages
-        )
+        for point in extract_tradeoff(rows, tolerance_db, voltages=voltages)
     }
-
-    result = TradeoffResult(
+    operating_points = [safe[name] for name in emt_names if name in safe]
+    return TradeoffResult(
         app_name=app_name,
         tolerance_db=tolerance_db,
         # The error-free ceiling the tolerance is read from.
         reference_snr_db=max(
-            quality[v_nominal].snr_mean_db[name] for name in emt_names
+            row["snr_db"] for row in rows if row["voltage"] == v_nominal
         ),
-        operating_points=[
-            EmtOperatingPoint(
-                emt_name=name,
-                v_min_safe=safe[name].v_min_safe,
-                saving_vs_nominal=safe[name].saving_vs_nominal,
-            )
-            for name in emt_names
-            if name in safe
-        ],
+        operating_points=operating_points,
+        policy=_build_policy(operating_points, v_nominal),
     )
-    result.policy = _build_policy(result.operating_points, v_nominal)
-    return result
 
 
 def paper_example_savings(
@@ -193,55 +152,40 @@ def paper_example_savings(
     tech: Technology = TECH_32NM_LP,
     v_nominal: float = 0.90,
     points: tuple[tuple[str, float, float], ...] = PAPER_EXAMPLE_POINTS,
-) -> list[EmtOperatingPoint]:
+) -> list[OperatingPoint]:
     """Savings at the paper's *illustrative* Section VI-C ranges.
 
     The paper's three voltage ranges are given as an example ("e.g.:")
     rather than derived strictly from Fig 4 — under a literal -1 dB
     criterion its own Fig 4c curves would already violate the tolerance
-    at 0.55 V.  This helper therefore evaluates the energy model exactly
-    at the published operating points, which is the comparison
-    EXPERIMENTS.md records against 12.7 % / 30.6 % / 39.5 %.
-
-    The evaluation runs as a filtered campaign: the (EMT, voltage) cross
-    product is cut down to the published pairs plus the unprotected
-    nominal baseline.
+    at 0.55 V.  This helper therefore prices the energy model exactly
+    at the published operating points (and the unprotected nominal
+    baseline), which is the comparison EXPERIMENTS.md records against
+    12.7 % / 30.6 % / 39.5 %.  The points are given, not derived from
+    quality, so their ``snr_db`` is NaN.
     """
-    workload = workload or measure_workload()
-    wanted = {(name, voltage) for name, voltage, _pct in points}
-    wanted.add(("none", v_nominal))
+    workload = workload or measured_workload()
 
-    emt_names = tuple(dict.fromkeys(name for name, _v, _p in points))
-    if "none" not in emt_names:
-        emt_names = ("none", *emt_names)
-    voltages = tuple(
-        dict.fromkeys(
-            [v for _n, v, _p in points] + [v_nominal]
-        )
-    )
-    energy = _energy_grid(
-        emt_names,
-        voltages,
-        workload,
-        tech,
-        name="tradeoff-paper-points",
-        filters=(
-            lambda coords: (coords["emt"], coords["voltage"]) in wanted,
-        ),
-    )
-    baseline = energy[("none", v_nominal)]
-    return [
-        EmtOperatingPoint(
+    def total_pj(emt_name: str, voltage: float) -> float:
+        model = EnergySystemModel(make_emt(emt_name), tech=tech)
+        return model.evaluate(voltage, workload).total_pj
+
+    baseline = total_pj("none", v_nominal)
+    out = []
+    for emt_name, voltage, _paper_pct in points:
+        energy = total_pj(emt_name, voltage)
+        out.append(OperatingPoint(
             emt_name=emt_name,
             v_min_safe=voltage,
-            saving_vs_nominal=1.0 - energy[(emt_name, voltage)] / baseline,
-        )
-        for emt_name, voltage, _paper_pct in points
-    ]
+            saving_vs_nominal=1.0 - energy / baseline,
+            snr_db=float("nan"),
+            energy_pj=energy,
+        ))
+    return out
 
 
 def _build_policy(
-    points: list[EmtOperatingPoint], v_nominal: float
+    points: list[OperatingPoint], v_nominal: float
 ) -> list[VoltageRange]:
     """Stitch operating points into contiguous voltage ranges.
 

@@ -5,8 +5,7 @@ Registering this backend under ``"service"`` in
 experiment service with zero caller changes: the session still plans
 the experiment locally, and each planned campaign is shipped to the
 daemon as one campaign job — the spec's JSON form plus its *expanded*
-point list (spec filters are arbitrary callables and never cross the
-process boundary).  The daemon's fleet executes the job into the very
+point list.  The daemon's fleet executes the job into the very
 store the session would have used, over the shared filesystem, so once
 the job is terminal the backend simply reads the records back and
 rebuilds an ordinary :class:`~repro.campaign.runner.CampaignResult` —

@@ -97,7 +97,7 @@ def default_service_root() -> Path:
 
 
 def _spec_from_payload(payload: dict[str, Any]) -> CampaignSpec:
-    """Rebuild a campaign spec from its JSON form (filters never cross)."""
+    """Rebuild a campaign spec from its JSON form."""
     try:
         return CampaignSpec(
             name=str(payload["name"]),
@@ -124,9 +124,8 @@ def campaign_job_payload(
 ) -> dict[str, Any]:
     """The JSON-safe form of one campaign job.
 
-    Spec filters are arbitrary callables and cannot cross a process
-    boundary, so the payload carries the *expanded* coordinate list —
-    the executor replays exactly these points via
+    The payload carries the *expanded* coordinate list — the executor
+    replays exactly these points via
     :func:`~repro.campaign.runner.run_campaign`'s ``points`` override.
     """
     return {

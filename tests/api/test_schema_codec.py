@@ -145,6 +145,30 @@ MALFORMED = [
     pytest.param(_env("figure", {"figure": "fig2", "records": 100}),
                  "figure.records: expected a list of strings, got 100",
                  id="records-scalar"),
+    pytest.param(_env("sweep", {"apps": {"dwt": 1}}),
+                 "sweep.apps: expected a list of strings, got {'dwt': 1}",
+                 id="apps-mapping"),
+    # List-of-string elements follow the scalar string rule.
+    pytest.param(_env("sweep", {"apps": [None, True]}),
+                 "sweep.apps[0]: expected a string, got None",
+                 id="apps-item-null"),
+    pytest.param(_env("sweep", {"apps": ["dwt", True]}),
+                 "sweep.apps[1]: expected a string, got True",
+                 id="apps-item-bool"),
+    pytest.param(_env("figure", {"figure": "fig4", "emts": [["none"]]}),
+                 "figure.emts[0]: expected a string, got ['none']",
+                 id="emts-item-list"),
+    pytest.param(_env("sweep", {"records": ["100", {"a": 1}]}),
+                 "sweep.records[1]: expected a string, got {'a': 1}",
+                 id="records-item-mapping"),
+    # Policies.
+    pytest.param(_env("mission", {"policies": 5}),
+                 "mission.policies: expected a list of policies, got 5",
+                 id="policies-scalar"),
+    pytest.param(_env("cohort", {"policies": {"name": "static"}}),
+                 "cohort.policies: expected a list of policies, "
+                 "got {'name': 'static'}",
+                 id="policies-mapping"),
     pytest.param(_env("cohort", {"battery_clip": [0.5, 1.0, 1.5]}),
                  "cohort.battery_clip: expected [low, high], "
                  "got (0.5, 1.0, 1.5)",
@@ -410,6 +434,8 @@ def test_numbers_coerce_to_string_keys():
     ) | {"name": 7})
     assert experiment.name == "7"
     assert experiment.params.workload_record == "100"
+    sweep = experiment_from_payload(_env("sweep", {"records": [100, 106]}))
+    assert sweep.params.records == ("100", "106")
 
 
 @pytest.mark.parametrize("kind, section, top", [

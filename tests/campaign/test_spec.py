@@ -62,25 +62,6 @@ class TestExpansion:
         assert point.params["emt"] == "none"
         assert point.params["workload"]["n_reads"] == 1
 
-    def test_filters_drop_combinations(self):
-        spec = small_spec(
-            filters=(lambda c: c["emt"] == "dream" or c["voltage"] > 0.6,),
-        )
-        points = spec.expand()
-        assert len(points) == 5
-        assert {"emt": "none", "voltage": 0.5} not in [p.coords for p in points]
-
-    def test_all_filters_must_pass(self):
-        spec = small_spec(
-            filters=(
-                lambda c: c["emt"] == "none",
-                lambda c: c["voltage"] == 0.9,
-            ),
-        )
-        assert [p.coords for p in spec.expand()] == [
-            {"emt": "none", "voltage": 0.9}
-        ]
-
 
 class TestContentHash:
     def test_same_params_same_hash(self):

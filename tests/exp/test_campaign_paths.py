@@ -13,20 +13,25 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Session
-from repro.api.schema import EnergyParams, Experiment, Fig2Params, Fig4Params
+from repro.api.schema import (
+    EnergyParams,
+    Experiment,
+    Fig2Params,
+    Fig4Params,
+    SweepParams,
+    TradeoffParams,
+)
 from repro.apps.registry import make_app
+from repro.campaign import evaluators, runner
 from repro.campaign.evaluators import grid_seed
 from repro.emt import make_emt
 from repro.energy.technology import TECH_32NM_LP
 from repro.errors import ExperimentError
 from repro.exp import ExperimentConfig, fig2_spec, fig4_spec, run_fig2
 from repro.exp.common import load_corpus, run_monte_carlo
-from repro.exp.energy_table import (
-    energy_analysis_from_records,
-    measure_workload,
-)
+from repro.exp.energy_table import energy_analysis_from_records
 from repro.exp.fig4 import fig4_result_from_records
-from repro.exp.tradeoff import run_tradeoff
+from repro.exp.tradeoff import tradeoff_from_records
 
 FAST = ExperimentConfig(records=("100",), duration_s=3.0, n_runs=2)
 VOLTAGES = (0.6, 0.8)
@@ -135,14 +140,26 @@ class TestFig2Paths:
 
 
 class TestTradeoffRegression:
-    """``run_tradeoff`` operating points and policy on one fixed sweep,
-    pinned to the values the Section VI-C rule gives there."""
+    """``tradeoff_from_records`` operating points and policy on one fixed
+    sweep, pinned to the values the Section VI-C rule gives there."""
+
+    VOLTAGES = (0.55, 0.65, 0.75, 0.85, 0.9)
 
     @pytest.fixture(scope="class")
-    def inputs(self, run_figure):
-        fig4 = run_figure(fig4_params(voltages=(0.55, 0.65, 0.75, 0.85, 0.9)))
-        workload = measure_workload("morphology", record="100", duration_s=3.0)
-        return fig4, workload
+    def records(self, tmp_path_factory):
+        # A sweep plans exactly the reducer's inputs: the Fig 4 quality
+        # grid plus the energy grid priced on morphology's record-100,
+        # 3 s workload.
+        experiment = Experiment(
+            name="tradeoff-regression", kind="sweep",
+            params=SweepParams(
+                apps=("morphology",), voltages=self.VOLTAGES,
+                records=FAST.records, duration_s=FAST.duration_s,
+                runs=FAST.n_runs,
+            ),
+        )
+        session = Session(store_dir=tmp_path_factory.mktemp("stores"))
+        return session.run(experiment).records
 
     #: tolerance -> (operating points in emt order, policy ranges).
     PINNED = {
@@ -160,12 +177,11 @@ class TestTradeoffRegression:
         ),
     }
 
-    def test_operating_points_match_pinned_values(self, inputs):
-        fig4, workload = inputs
+    def test_operating_points_match_pinned_values(self, records):
         for tolerance, (expected, policy) in self.PINNED.items():
-            result = run_tradeoff(
-                fig4, app_name="morphology", tolerance_db=tolerance,
-                workload=workload,
+            result = tradeoff_from_records(
+                records, "morphology", ("none", "dream", "secded"),
+                tolerance, self.VOLTAGES,
             )
             assert result.reference_snr_db == 96.0
             assert [
@@ -181,13 +197,11 @@ class TestTradeoffRegression:
                 (r.v_min, r.v_max, r.emt_name) for r in result.policy
             ] == policy
 
-    def test_baseline_priced_when_not_a_candidate(self, inputs):
+    def test_baseline_priced_when_not_a_candidate(self, records):
         """Without 'none' among the candidates the savings are still
         measured against it, and it joins neither ceiling nor policy."""
-        fig4, workload = inputs
-        result = run_tradeoff(
-            fig4, app_name="morphology", tolerance_db=40.0,
-            emt_names=("secded", "dream"), workload=workload,
+        result = tradeoff_from_records(
+            records, "morphology", ("secded", "dream"), 40.0, self.VOLTAGES,
         )
         assert [
             (p.emt_name, p.v_min_safe) for p in result.operating_points
@@ -198,6 +212,44 @@ class TestTradeoffRegression:
         assert [(r.v_min, r.v_max, r.emt_name) for r in result.policy] == [
             (0.65, 0.9, "secded"),
         ]
+
+
+class TestTradeoffSinglePath:
+    """A trade-off is two campaigns run by the session — the app's
+    quality grid and its energy grid — and reducing them runs nothing."""
+
+    def test_stored_run_resumes_and_attach_reduces_without_evaluating(
+        self, tmp_path, monkeypatch
+    ):
+        experiment = Experiment(
+            name="tradeoff", kind="figure", store="tradeoff",
+            params=TradeoffParams(
+                app="morphology", records=FAST.records,
+                duration_s=FAST.duration_s, runs=FAST.n_runs,
+                tolerance_db=40.0,
+            ),
+        )
+        session = Session(store_dir=tmp_path)
+        first = session.run(experiment)
+        # 9 voltages of quality points, 3 EMTs x 9 voltages of energy.
+        assert [run.role for run in first.runs] == ["quality", "energy"]
+        assert (first.n_executed, first.n_cached) == (36, 0)
+        expected = first.result()
+        second = session.run(experiment)
+        assert (second.n_executed, second.n_cached) == (0, 36)
+
+        calls = []
+        real = evaluators.evaluate_point
+
+        def spy(point):
+            calls.append(point.kind)
+            return real(point)
+
+        monkeypatch.setattr(evaluators, "evaluate_point", spy)
+        monkeypatch.setattr(runner, "evaluate_point", spy)
+        assert session.attach(experiment).result() == expected
+        assert second.result() == expected
+        assert calls == []
 
 
 class TestSpecShapes:

@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.api.schema import EnergyParams, Experiment, Fig4Params
+from repro.api.schema import (
+    EnergyParams,
+    Experiment,
+    Fig4Params,
+    TradeoffParams,
+)
 from repro.campaign import extract_tradeoff
+from repro.energy.technology import PAPER_VOLTAGE_GRID
 from repro.exp import (
     ExperimentConfig,
     run_fig2,
-    run_tradeoff,
+    tradeoff_from_records,
     overhead_table,
 )
 from repro.exp.common import default_runs, load_corpus, run_monte_carlo
@@ -205,14 +211,21 @@ class TestEnergyAnalysis:
 
 
 class TestTradeoff:
+    EMTS = ("none", "dream", "secded")
+
     @pytest.fixture(scope="class")
-    def fig4(self, run_figure):
-        return run_figure(fig4_params(
-            ("dwt",), (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9),
+    def handle(self):
+        return Session().run(Experiment(
+            name="tradeoff", kind="figure",
+            params=TradeoffParams(
+                app="dwt", emts=self.EMTS, records=FAST.records,
+                duration_s=FAST.duration_s, runs=FAST.n_runs,
+                tolerance_db=30.0,
+            ),
         ))
 
-    def test_policy_structure(self, fig4):
-        result = run_tradeoff(fig4, app_name="dwt", tolerance_db=30.0)
+    def test_policy_structure(self, handle):
+        result = handle.result()
         assert result.operating_points
         # Stronger protection sustains equal-or-deeper voltage scaling.
         floors = {p.emt_name: p.v_min_safe for p in result.operating_points}
@@ -224,13 +237,17 @@ class TestTradeoff:
         for a, b in zip(result.policy, result.policy[1:]):
             assert a.v_min == pytest.approx(b.v_max)
 
-    def test_unknown_app(self, fig4):
+    def test_unknown_app(self, handle):
         with pytest.raises(ExperimentError):
-            run_tradeoff(fig4, app_name="fft")
+            tradeoff_from_records(
+                handle.records, "fft", self.EMTS, 30.0, PAPER_VOLTAGE_GRID
+            )
 
-    def test_negative_tolerance(self, fig4):
+    def test_negative_tolerance(self, handle):
         with pytest.raises(ExperimentError):
-            run_tradeoff(fig4, tolerance_db=-1.0)
+            tradeoff_from_records(
+                handle.records, "dwt", self.EMTS, -1.0, PAPER_VOLTAGE_GRID
+            )
 
     def test_paper_example_savings_match_shape(self):
         """Measured savings at the paper's illustrative points must

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.schema import EnergyParams, Fig4Params
+from repro.api.schema import EnergyParams, Fig4Params, TradeoffParams
 from repro.exp import (
     ExperimentConfig,
     overhead_table,
     run_fig2,
-    run_tradeoff,
 )
 from repro.exp.report import (
     format_energy_analysis,
@@ -79,9 +78,11 @@ class TestFormatEnergy:
 
 
 class TestFormatTradeoff:
-    def test_policy_rendering(self, fig4_result):
-        result = run_tradeoff(fig4_result, app_name="morphology",
-                              tolerance_db=50.0)
+    def test_policy_rendering(self, run_figure):
+        result = run_figure(TradeoffParams(
+            app="morphology", records=FAST.records,
+            duration_s=FAST.duration_s, runs=FAST.n_runs, tolerance_db=50.0,
+        ))
         text = format_tradeoff(result)
         assert "Section VI-C" in text
         assert "morphology" in text

@@ -156,6 +156,20 @@ class TestCommands:
         assert "record 106" in out
         assert "360 Hz" in out
 
+    @pytest.mark.parametrize("top, message", [
+        ("version = 99", "unsupported experiment schema version 99"),
+        ('version = 1\nbackend = "bogus"', "unknown execution backend"),
+    ], ids=["schema-error", "plan-error"])
+    def test_validate_names_the_file_once(self, capsys, tmp_path, top,
+                                          message):
+        path = tmp_path / "broken.toml"
+        path.write_text(f'{top}\nkind = "sweep"\nname = "x"\n\n[sweep]\n',
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count(str(path)) == 1
+
     def test_record_unknown_returns_error(self, capsys):
         assert main(["record", "999"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -16,6 +16,7 @@ import doctest
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,13 @@ class TestReadmeCoverage:
             assert command in readme, (
                 f"README does not mention the {command!r} subcommand"
             )
+        # The `repro.cli` API row lists exactly the parser's verbs.
+        row = next(
+            line for line in readme.splitlines()
+            if line.startswith("| `repro.cli` |")
+        )
+        verbs = re.search(r"python -m repro <([^>]*)>", row).group(1)
+        assert verbs.split("|") == list(subparsers.choices)
 
     def test_cohort_walkthrough_present(self, readme):
         assert "repro run examples/experiments/cohort_pilot.toml" in readme
