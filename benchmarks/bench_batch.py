@@ -28,6 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _harness import time_call, write_bench  # noqa: E402
 
 from repro._bitops import HAS_BITWISE_COUNT, _popcount_swar, popcount  # noqa: E402
+from repro.api import Session  # noqa: E402
+from repro.api.schema import Experiment, Fig2Params  # noqa: E402
 from repro.apps.registry import make_app  # noqa: E402
 from repro.emt import make_emt  # noqa: E402
 from repro.exp.common import (  # noqa: E402
@@ -36,7 +38,6 @@ from repro.exp.common import (  # noqa: E402
     run_monte_carlo,
     run_monte_carlo_sequential,
 )
-from repro.exp.fig2 import run_fig2  # noqa: E402
 from repro.mem.fabric import MemoryFabric  # noqa: E402
 from repro.mem.faults import (  # noqa: E402
     position_fault_map,
@@ -62,17 +63,28 @@ def test_cold_calibration_speedup():
     point — a fresh application instance per configuration (so the
     clean reference outputs were recomputed every time, exactly as the
     seed ``bit_position`` evaluator did) and one full pipeline pass per
-    (configuration, record).  The trial-batched ``run_fig2`` fast path
-    stacks all 32 configurations into a single ``(32, n_words)``
-    fault-map batch, folds the window loop into the batch, and shares
-    one cached application instance.  Both produce identical curves
-    (the sweep is deterministic; asserted here).
+    (configuration, record).  The batched leg runs the same sweep as a
+    ``figure = "fig2"`` experiment through :class:`repro.api.Session`
+    (no store): each (app, record) point stacks all 32 configurations
+    into a single ``(32, n_words)`` fault-map batch, folds the window
+    loop into the batch, and shares one cached application instance.
+    Both produce identical curves (the sweep is deterministic; asserted
+    here).
 
     Scale: the library-default reproduction configuration (the paper's
-    five records, 10 s each) — what ``run_fig2`` runs out of the box.
+    five records, 10 s each).
     """
     config = ExperimentConfig()
     corpus = load_corpus(config)  # the record cache both legs share
+    experiment = Experiment(
+        name="cold-calibration",
+        kind="figure",
+        params=Fig2Params(
+            apps=("dwt",),
+            records=config.records,
+            duration_s=config.duration_s,
+        ),
+    )
 
     def seed_path():
         per_value = {0: [], 1: []}
@@ -101,7 +113,7 @@ def test_cold_calibration_speedup():
 
     seq_curves, seq_s = time_call(seed_path, repeat=2)
     batched, bat_s = time_call(
-        lambda: run_fig2(app_names=("dwt",), config=config), repeat=2
+        lambda: Session().run(experiment).result(), repeat=2
     )
     assert batched.snr_db["dwt"] == seq_curves, "batched Fig 2 curves moved"
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exp.fig2 import Fig2Result, run_fig2
+from repro.api import Session
+from repro.api.schema import Experiment, Fig2Params
+from repro.exp.fig2 import Fig2Result
 from repro.exp.report import format_fig2
 
 APP_NAMES = (
@@ -25,7 +27,15 @@ APP_NAMES = (
 @pytest.mark.parametrize("app_name", APP_NAMES)
 def test_fig2_app(benchmark, app_name, bench_config, report_sink):
     result = benchmark.pedantic(
-        lambda: run_fig2(app_names=(app_name,), config=bench_config),
+        lambda: Session().run(Experiment(
+            name=f"fig2-{app_name}",
+            kind="figure",
+            params=Fig2Params(
+                apps=(app_name,),
+                records=bench_config.records,
+                duration_s=bench_config.duration_s,
+            ),
+        )).result(),
         rounds=1,
         iterations=1,
     )

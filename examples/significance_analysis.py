@@ -13,14 +13,22 @@ Run:  python examples/significance_analysis.py
 
 from __future__ import annotations
 
-from repro.exp.common import ExperimentConfig
-from repro.exp.fig2 import run_fig2
+from repro.api import Session
+from repro.api.schema import Experiment, Fig2Params
 from repro.exp.report import format_fig2
 
 
 def main() -> None:
-    config = ExperimentConfig(records=("100", "106"), duration_s=8.0)
-    result = run_fig2(app_names=("dwt", "matrix_filter"), config=config)
+    experiment = Experiment(
+        name="significance-analysis",
+        kind="figure",
+        params=Fig2Params(
+            apps=("dwt", "matrix_filter"),
+            records=("100", "106"),
+            duration_s=8.0,
+        ),
+    )
+    result = Session().run(experiment).result()
     print(format_fig2(result))
 
     print("\nReading the table:")

@@ -143,8 +143,10 @@ class ResultHandle:
         install a richer view: sweep experiments frame the *joined*
         quality/energy rows (``app``/``emt``/``voltage``/``snr_db``/
         ``energy_pj``), the substrate their Pareto frontier is defined
-        on.  The list is plain data: feed it to ``pandas.DataFrame`` or
-        filter it in place.
+        on; Fig 2 frames one ``app``/``stuck_value``/``position``/
+        ``snr_db`` row per plotted value of every app whose records all
+        succeeded.  The list is plain data: feed
+        it to ``pandas.DataFrame`` or filter it in place.
         """
         if self._framer is not None:
             return self._framer(self)

@@ -297,6 +297,7 @@ def _plan_figure(experiment: Experiment) -> _Plan:
 
     params = experiment.params
     store = experiment.store
+    framer = None
 
     if isinstance(params, TradeoffParams):
         return _plan_tradeoff(experiment)
@@ -307,6 +308,9 @@ def _plan_figure(experiment: Experiment) -> _Plan:
         spec = fig2_spec(params.apps, config, name=experiment.name)
         reducer = lambda h: fig2_result_from_records(  # noqa: E731
             h.records, params.apps, config
+        )
+        framer = lambda h: _fig2_rows(  # noqa: E731
+            h, params.apps, config
         )
     elif isinstance(params, Fig4Params):
         config = _experiment_config(
@@ -346,7 +350,37 @@ def _plan_figure(experiment: Experiment) -> _Plan:
         campaigns=(PlannedCampaign("main", spec, store),),
         reducer=reducer,
         summariser=lambda h: {"figure": params.KIND},
+        framer=framer,
     )
+
+
+def _fig2_rows(
+    h: ResultHandle, apps: tuple[str, ...], config
+) -> list[dict]:
+    """One row per plotted Fig 2 value: (app, stuck value, position)
+    with its corpus-mean ``snr_db``, what ``handle.pareto("position",
+    "snr_db")`` reads.
+
+    Rows come from the successful records only, so a partial run still
+    frames: an app with a failed record has no corpus mean and yields
+    no rows.
+    """
+    from ..exp.fig2 import fig2_result_from_records
+
+    ok = h.ok_records()
+    rows = []
+    for app in apps:
+        try:
+            curves = fig2_result_from_records(ok, (app,), config).snr_db[app]
+        except ExperimentError:
+            continue
+        rows.extend(
+            {"app": app, "stuck_value": stuck, "position": position,
+             "snr_db": snr}
+            for stuck, series in curves.items()
+            for position, snr in enumerate(series)
+        )
+    return rows
 
 
 def _workload_energy_spec(

@@ -111,6 +111,13 @@ def daubechies4_basis(n_samples: int, n_levels: int = 5) -> np.ndarray:
     return analysis.T
 
 
+def _unit_columns(dictionary: np.ndarray) -> np.ndarray:
+    """The dictionary with every non-zero column scaled to unit norm."""
+    column_norms = np.linalg.norm(dictionary, axis=0)
+    column_norms[column_norms == 0] = 1.0
+    return dictionary / column_norms
+
+
 def omp_reconstruct(
     sensing: np.ndarray,
     basis: np.ndarray,
@@ -118,6 +125,7 @@ def omp_reconstruct(
     max_atoms: int,
     tolerance: float = 1e-4,
     dictionary: np.ndarray | None = None,
+    normalised: np.ndarray | None = None,
 ) -> np.ndarray:
     """Orthogonal Matching Pursuit recovery of one block.
 
@@ -131,15 +139,16 @@ def omp_reconstruct(
         dictionary: optional precomputed ``sensing @ basis`` (the
             composed dictionary); pass it when reconstructing many
             blocks to avoid recomputing the large matrix product.
+        normalised: optional precomputed copy of ``dictionary`` with
+            unit-norm columns, likewise shared across blocks.
 
     Returns:
         The reconstructed length-``N`` sample vector (float).
     """
     if dictionary is None:
         dictionary = sensing.astype(np.float64) @ basis
-    column_norms = np.linalg.norm(dictionary, axis=0)
-    column_norms[column_norms == 0] = 1.0
-    normalised = dictionary / column_norms
+    if normalised is None:
+        normalised = _unit_columns(dictionary)
 
     y = measurements.astype(np.float64)
     y_norm = float(np.linalg.norm(y))
@@ -222,7 +231,7 @@ class CompressedSensingApp(BiomedicalApp):
         max_row_weight = int(self._phi.sum(axis=1).max())
         self._shift = max(0, math.ceil(math.log2(max(max_row_weight, 1))))
         self._basis: np.ndarray | None = None
-        self._dictionary: np.ndarray | None = None
+        self._dictionary: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- node side -------------------------------------------------------------
 
@@ -254,12 +263,12 @@ class CompressedSensingApp(BiomedicalApp):
             self._basis = daubechies4_basis(self.block_size)
         return self._basis
 
-    def _omp_dictionary(self) -> np.ndarray:
-        """The composed Phi @ Psi dictionary, built once per instance."""
+    def _omp_dictionary(self) -> tuple[np.ndarray, np.ndarray]:
+        """The composed Phi @ Psi dictionary and its unit-column copy,
+        built once per instance."""
         if self._dictionary is None:
-            self._dictionary = (
-                self._phi.astype(np.float64) @ self._wavelet_basis()
-            )
+            dictionary = self._phi.astype(np.float64) @ self._wavelet_basis()
+            self._dictionary = (dictionary, _unit_columns(dictionary))
         return self._dictionary
 
     def reconstruct(self, measurements: np.ndarray) -> np.ndarray:
@@ -272,7 +281,7 @@ class CompressedSensingApp(BiomedicalApp):
                 f"of M={m}"
             )
         basis = self._wavelet_basis()
-        dictionary = self._omp_dictionary()
+        dictionary, normalised = self._omp_dictionary()
         blocks = []
         for start in range(0, y.size, m):
             rescaled = y[start : start + m] * float(1 << self._shift)
@@ -283,6 +292,7 @@ class CompressedSensingApp(BiomedicalApp):
                     rescaled,
                     self.max_atoms,
                     dictionary=dictionary,
+                    normalised=normalised,
                 )
             )
         return np.concatenate(blocks)

@@ -9,8 +9,8 @@ methodologies:
 * ``montecarlo`` — the Section V protocol: stuck-at fault maps drawn at
   the technology's BER(V), every EMT of the point sharing each run's
   defect sample (Fig 4's grid);
-* ``bit_position`` — Fig 2's deterministic sweep: one bit position of
-  every data word stuck at a chosen value, no EMT;
+* ``bit_position`` — Fig 2's deterministic sweep: every bit position
+  of every data word stuck at '0' and at '1' on one record, no EMT;
 * ``energy`` — the Section VI-B accounting model: workload energy of one
   EMT-protected memory system at one supply voltage;
 * ``mission`` — the :mod:`repro.runtime` closed-loop mission simulator:
@@ -60,7 +60,7 @@ from ..emt.base import NoProtection
 from ..energy.accounting import EnergySystemModel, Workload
 from ..errors import CampaignError
 from ..mem.fabric import MemoryFabric
-from ..mem.faults import position_fault_map
+from ..mem.faults import position_fault_map_batch
 from ..signals.dataset import load_record
 from ..signals.metrics import SNR_CAP_DB
 from ..soc.config import SoCConfig
@@ -261,28 +261,42 @@ def _eval_montecarlo(params: dict[str, Any]) -> dict[str, Any]:
 
 @register_evaluator("bit_position")
 def _eval_bit_position(params: dict[str, Any]) -> dict[str, Any]:
-    """Fig 2 methodology: one bit of every data word stuck at a value.
+    """Fig 2 methodology: each bit of every data word stuck at '0'/'1'.
 
-    Parameters: ``app``, ``position``, ``stuck_value``, ``records``,
-    ``duration_s``, and optionally ``snr_cap_db``/``geometry``/
-    ``data_bits``.  Deterministic — no seed involved.
+    Parameters: ``app``, ``record``, ``duration_s``, and optionally
+    ``snr_cap_db``/``geometry``/``data_bits``.  All ``2 * data_bits``
+    (stuck value, position) configurations — stuck value outer,
+    position inner — stack into one batched fault map, so the point is
+    a single pipeline pass over its record.  Returns ``snr_db``, the
+    per-configuration SNRs in that order.  Deterministic — no seed
+    involved.
     """
     geometry = geometry_from_dict(params.get("geometry"))
     data_bits = params.get("data_bits", 16)
-    corpus = _cached_corpus(tuple(params["records"]), params["duration_s"])
-    cap_db = params.get("snr_cap_db", SNR_CAP_DB)
-    fault_map = position_fault_map(
-        geometry.n_words, data_bits, params["position"], params["stuck_value"]
+    samples = load_record(
+        params["record"], duration_s=params["duration_s"]
+    ).samples
+    fault_map = position_fault_map_batch(
+        geometry.n_words,
+        data_bits,
+        [
+            (position, stuck_value)
+            for stuck_value in (0, 1)
+            for position in range(data_bits)
+        ],
+    )
+    fabric = MemoryFabric(
+        NoProtection(),
+        fault_map=fault_map,
+        geometry=geometry,
+        collect_decode_stats=False,
     )
     app = cached_app(params["app"])
-    snrs = []
-    for samples in corpus.values():
-        fabric = MemoryFabric(
-            NoProtection(), fault_map=fault_map, geometry=geometry
-        )
-        output = app.run(samples, fabric)
-        snrs.append(app.output_snr(samples, output, cap_db=cap_db))
-    return {"snr_db": float(np.mean(snrs))}
+    outputs = app.run_batch(samples, fabric)
+    snrs = app.output_snr_batch(
+        samples, outputs, cap_db=params.get("snr_cap_db", SNR_CAP_DB)
+    )
+    return {"snr_db": [float(v) for v in snrs]}
 
 
 @register_evaluator("mission")

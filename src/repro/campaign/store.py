@@ -248,10 +248,6 @@ class ShardedResultStore(ResultStore):
             os.replace(tmp, meta_path)
         return cls(path)
 
-    def shard_for(self, point_hash: str) -> ResultStore:
-        """The shard a record with this content hash belongs to."""
-        return self.shards[self._route(point_hash)]
-
     def _route(self, point_hash: str) -> int:
         try:
             return int(point_hash[:8], 16) % self.n_shards

@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import select
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -1358,6 +1359,19 @@ _HANDLERS = {
 }
 
 
+def _stdout_reader_gone() -> bool:
+    """True when stdout is a pipe whose reading end has been closed."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return False  # not backed by a file descriptor
+    if not hasattr(select, "poll"):
+        return True  # no way to ask; stdout is the likeliest pipe
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(events & select.POLLERR for _fd, events in poller.poll(0))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -1386,7 +1400,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         os.environ[ENV_CHAOS] = args.chaos
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError as error:
+        if not _stdout_reader_gone():
+            # Some other pipe broke (a worker, a socket): a real error.
+            _LOG.error("broken pipe: %s", error)
+            return 1
+        # The reader (``| head``, ``| grep -q``) left early: drop the
+        # rest of the output quietly and exit like a SIGPIPE'd process.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except RunInterrupted as error:
         # The session already drained and persisted completed work and
         # finalized the registry row as 'interrupted'; exit like a

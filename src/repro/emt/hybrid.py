@@ -105,8 +105,12 @@ class HybridEMT(EMT):
     # -- policy dispatch ----------------------------------------------------
 
     def select(self, voltage: float) -> EMT:
-        """Return the member EMT the policy prescribes at ``voltage``."""
-        for entry in self.policy:
+        """Return the member EMT the policy prescribes at ``voltage``.
+
+        A voltage on the shared boundary of two ranges resolves to the
+        higher range: its technique is safe there and the cheaper one.
+        """
+        for entry in reversed(self.policy):
             if entry.contains(voltage):
                 return self.members[entry.emt_name]
         raise EMTError(

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import EnergyModelError
 from ..mem.layout import MemoryGeometry
 from .technology import Technology
 
@@ -154,10 +153,3 @@ class SramArrayModel:
             f"SramArrayModel({g.n_words}x{g.word_bits}b, {g.n_banks} banks, "
             f"{self.rows}r x {self.columns}c per bank)"
         )
-
-
-def validate_positive(value: float, name: str) -> float:
-    """Shared guard for model inputs that must be positive."""
-    if value <= 0:
-        raise EnergyModelError(f"{name} must be positive, got {value}")
-    return value

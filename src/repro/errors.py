@@ -36,10 +36,6 @@ class EMTError(ReproError):
     """An error-mitigation technique was configured or used incorrectly."""
 
 
-class DecodingError(EMTError):
-    """A codeword could not be decoded (e.g. detected-uncorrectable)."""
-
-
 class EnergyModelError(ReproError):
     """The energy/technology model was queried outside its valid domain."""
 

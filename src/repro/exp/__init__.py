@@ -22,13 +22,13 @@ s (a trade-off plans a Fig 4 quality grid plus an energy grid),
 the shared campaign runner (parallel, resumable, stored), and the
 ``*_from_records`` reducers turn the records into :class:`Fig2Result`/
 :class:`Fig4Result`/:class:`EnergyAnalysis`/:class:`TradeoffResult`.
-:func:`run_fig2` stays as the trial-batched in-process Fig 2, a
-separate and faster implementation of the same numbers.
+A Fig 2 point is one (app, record) pair scored in a single
+trial-batched pass over all 32 stuck-bit configurations.
 """
 
 from .common import ExperimentConfig, MonteCarloResult
 from .energy_table import EnergyAnalysis, energy_spec
-from .fig2 import Fig2Result, fig2_spec, run_fig2
+from .fig2 import Fig2Result, fig2_spec
 from .fig4 import Fig4Result, fig4_spec
 from .overheads import OverheadRow, overhead_table
 from .tradeoff import TradeoffResult, tradeoff_from_records
@@ -38,7 +38,6 @@ __all__ = [
     "MonteCarloResult",
     "Fig2Result",
     "fig2_spec",
-    "run_fig2",
     "Fig4Result",
     "fig4_spec",
     "EnergyAnalysis",

@@ -15,17 +15,15 @@ DREAM's asymmetric MSB protection:
 * matrix filtering sits well below the other curves because each output
   element depends on a full row and column of inputs.
 
-The (app, stuck value, bit position) grid is expressed as a campaign
-spec (:func:`fig2_spec`); a ``figure = "fig2"`` experiment runs it
-through :class:`repro.api.Session`, so the 160-point paper grid
-parallelises across workers and resumes from a result store.
-
-:func:`run_fig2` is the in-process alternative: all 32 (stuck value,
-bit position) configurations of one application stack into a single
-:func:`~repro.mem.faults.position_fault_map_batch` and flow through the
-memory fabric as one ``(32, n_words)`` batch per record — the same
-numbers (the sweep is deterministic), an order of magnitude less Python
-overhead (see PERFORMANCE.md).
+The grid is expressed as a campaign spec (:func:`fig2_spec`) over
+(app, record): one point stacks all 32 (stuck value, bit position)
+configurations into a single
+:func:`~repro.mem.faults.position_fault_map_batch` and makes one batched
+pipeline pass over its record.  A ``figure = "fig2"`` experiment runs it
+through :class:`repro.api.Session`, so the paper grid parallelises
+across workers and resumes from a result store, and
+:func:`fig2_result_from_records` averages each configuration over the
+record corpus.
 """
 
 from __future__ import annotations
@@ -36,17 +34,13 @@ import numpy as np
 
 from ..campaign.evaluators import geometry_to_dict
 from ..campaign.spec import CampaignSpec
-from ..emt.base import NoProtection
 from ..errors import ExperimentError
-from ..mem.fabric import MemoryFabric
-from ..mem.faults import position_fault_map_batch
-from .common import ExperimentConfig, load_corpus, validate_registry_names
+from .common import ExperimentConfig, validate_registry_names
 
 __all__ = [
     "Fig2Result",
     "fig2_result_from_records",
     "fig2_spec",
-    "run_fig2",
 ]
 
 #: Width of the paper's data words (and hence of the Fig 2 sweep).
@@ -73,6 +67,11 @@ class Fig2Result:
         return self.snr_db[app_name][stuck_value]
 
 
+def _records(config: ExperimentConfig) -> tuple[str, ...]:
+    """The corpus records, first occurrence first (a repeat adds none)."""
+    return tuple(dict.fromkeys(config.records))
+
+
 def fig2_spec(
     app_names: tuple[str, ...],
     config: ExperimentConfig | None = None,
@@ -80,98 +79,23 @@ def fig2_spec(
 ) -> CampaignSpec:
     """The Fig 2 grid as a declarative campaign spec.
 
-    Axes are (app, stuck value, bit position); the sweep is
-    deterministic, so points carry no seed.
+    Axes are (app, record); each point scores every (stuck value, bit
+    position) configuration on its record.  The sweep is deterministic,
+    so points carry no seed.
     """
     config = config or ExperimentConfig()
     validate_registry_names(app_names=app_names)
     return CampaignSpec(
         name=name,
         kind="bit_position",
-        axes={
-            "app": tuple(app_names),
-            "stuck_value": (0, 1),
-            "position": tuple(range(_DATA_BITS)),
-        },
+        axes={"app": tuple(app_names), "record": _records(config)},
         fixed={
-            "records": config.records,
             "duration_s": config.duration_s,
             "snr_cap_db": config.snr_cap_db,
             "geometry": geometry_to_dict(config.geometry),
             "data_bits": _DATA_BITS,
         },
     )
-
-
-def run_fig2(
-    app_names: tuple[str, ...] = (
-        "dwt",
-        "matrix_filter",
-        "compressed_sensing",
-        "morphology",
-        "delineation",
-    ),
-    config: ExperimentConfig | None = None,
-) -> Fig2Result:
-    """Run the Fig 2 bit-significance sweep in-process, trial-batched.
-
-    All 32 (stuck value, bit position) fault configurations of one
-    application stack into a single batched fault map, so each record
-    makes exactly one pipeline pass instead of 32.  Configuration order
-    matches the :func:`fig2_spec` grid (stuck value outer, position
-    inner), and the per-configuration corpus mean reduces the same
-    per-record SNRs — the curves equal a ``figure = "fig2"`` experiment
-    run through :class:`repro.api.Session`, which is the path to use for
-    parallel or resumable sweeps.
-
-    Args:
-        app_names: applications to characterise (default: the paper's
-            five case studies).
-        config: experiment knobs; Fig 2 is deterministic (no Monte
-            Carlo), so only ``records`` and ``duration_s`` matter.
-
-    Returns:
-        A :class:`Fig2Result` with one SNR series per (app, stuck value).
-    """
-    config = config or ExperimentConfig()
-    validate_registry_names(app_names=app_names)
-    # Shared per-process instances keep the clean reference outputs
-    # warm across invocations.
-    from ..apps.registry import cached_app
-
-    corpus = load_corpus(config)
-    configurations = [
-        (position, stuck_value)
-        for stuck_value in (0, 1)
-        for position in range(_DATA_BITS)
-    ]
-    fault_map = position_fault_map_batch(
-        config.geometry.n_words, _DATA_BITS, configurations
-    )
-    result = Fig2Result(config=config)
-    for name in app_names:
-        app = cached_app(name)
-        per_record = []
-        for samples in corpus.values():
-            fabric = MemoryFabric(
-                NoProtection(),
-                fault_map=fault_map,
-                geometry=config.geometry,
-                collect_decode_stats=False,
-            )
-            outputs = app.run_batch(samples, fabric)
-            per_record.append(
-                app.output_snr_batch(
-                    samples, outputs, cap_db=config.snr_cap_db
-                )
-            )
-        # (n_records, 32) -> per-configuration corpus mean.
-        means = np.mean(np.stack(per_record, axis=0), axis=0)
-        result.snr_db[name] = {
-            0: [float(v) for v in means[:_DATA_BITS]],
-            1: [float(v) for v in means[_DATA_BITS:]],
-        }
-    return result
 
 
 def fig2_result_from_records(
@@ -183,26 +107,28 @@ def fig2_result_from_records(
 
     ``records`` are campaign records of a :func:`fig2_spec` grid — live
     from :func:`repro.campaign.run_campaign` or reloaded from a result
-    store.  This is the experiment API's Fig 2 reducer.
+    store.  Each holds one record's 32 SNRs (stuck value outer, position
+    inner); a configuration's curve value is their mean over the corpus.
+    This is the experiment API's Fig 2 reducer.
     """
+    record_names = _records(config or ExperimentConfig())
     by_point = {
-        (
-            rec["params"]["app"],
-            rec["params"]["stuck_value"],
-            rec["params"]["position"],
-        ): rec["result"]["snr_db"]
+        (rec["params"]["app"], rec["params"]["record"]):
+            rec["result"]["snr_db"]
         for rec in records
         if rec.get("status") == "ok"
     }
     result = Fig2Result(config=config)
     try:
         for name in app_names:
+            per_record = [by_point[(name, record)] for record in record_names]
+            means = [
+                float(np.mean([snrs[i] for snrs in per_record]))
+                for i in range(2 * _DATA_BITS)
+            ]
             result.snr_db[name] = {
-                stuck: [
-                    by_point[(name, stuck, position)]
-                    for position in range(_DATA_BITS)
-                ]
-                for stuck in (0, 1)
+                0: means[:_DATA_BITS],
+                1: means[_DATA_BITS:],
             }
     except KeyError as exc:
         raise ExperimentError(

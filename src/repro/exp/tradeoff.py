@@ -68,12 +68,6 @@ class TradeoffResult:
     operating_points: list[OperatingPoint] = field(default_factory=list)
     policy: list[VoltageRange] = field(default_factory=list)
 
-    def best_saving(self) -> float:
-        """The largest saving any single technique achieves."""
-        if not self.operating_points:
-            raise ExperimentError("no operating points were computed")
-        return max(p.saving_vs_nominal for p in self.operating_points)
-
 
 def tradeoff_from_records(
     records: Iterable[dict],

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import time
 from pathlib import Path
 from statistics import median
 from typing import Any
@@ -267,15 +266,3 @@ def render_trend(
             f"{drifting} series drifted beyond the ±{band:.0%} band."
         )
     return ("\n".join(lines), drifting)
-
-
-def history_marker(path: Path | str | None = None) -> dict[str, Any]:
-    """A small summary of the history file (for ``repro bench trend -v``)."""
-    target = Path(path) if path is not None else default_history_path()
-    events = load_history(target)
-    return {
-        "path": str(target),
-        "events": len(events),
-        "series": len(history_series(events)),
-        "read_at": time.time(),
-    }

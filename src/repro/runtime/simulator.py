@@ -43,7 +43,6 @@ import time
 import zlib
 from dataclasses import replace
 from functools import lru_cache
-from typing import Any
 
 import numpy as np
 
@@ -65,7 +64,7 @@ from ..signals.metrics import SNR_CAP_DB
 from .mission import MissionResult, MissionSpec, SegmentSpec
 from .policy import LadderPoint, Observation, Policy, PolicyContext
 
-__all__ = ["BatchCalibrator", "MissionSimulator", "calibration_cache_info"]
+__all__ = ["BatchCalibrator", "MissionSimulator"]
 
 #: Fault maps are Bernoulli per bit; past ~0.4 the array is noise and the
 #: calibration result saturates, so effective BERs clamp there.
@@ -350,20 +349,6 @@ def _price_window(
         )
         model = EnergySystemModel(make_emt(emt_name), tech=tech)
         return model.evaluate(voltage, workload).total_pj
-
-
-def calibration_cache_info() -> dict[str, Any]:
-    """Diagnostic view of the calibration caches.
-
-    ``quality``/``energy``/``probes`` are the per-process memory memos;
-    ``shared`` is the machine-wide disk layer both are backed by.
-    """
-    return {
-        "quality": str(_calibrated_quality.cache_info()),
-        "energy": str(_window_energy_pj.cache_info()),
-        "probes": str(_probe_samples.cache_info()),
-        "shared": shared_cache().info(),
-    }
 
 
 class MissionSimulator:

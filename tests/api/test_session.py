@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.api.results import ResultHandle
-from repro.api.schema import Experiment, Fig2Params, experiment_from_payload
+from repro.api.schema import (
+    EnergyParams,
+    Experiment,
+    Fig2Params,
+    experiment_from_payload,
+)
 from repro.api.session import (
     BACKENDS,
     MultiprocessingBackend,
@@ -18,6 +23,7 @@ from repro.errors import ExperimentSpecError, ReproError
 
 
 def tiny_fig2(name: str = "tiny", **top) -> Experiment:
+    """One Fig 2 point: morphology on record 100."""
     return Experiment(
         name=name,
         kind="figure",
@@ -124,7 +130,7 @@ class TestRunAndResume:
     def test_first_run_executes_and_persists(self, executed):
         _experiment, _session, handle = executed
         assert handle.ok
-        assert handle.n_executed == 32
+        assert handle.n_executed == 1
         assert handle.n_cached == 0
         assert handle.campaigns("main")[0].store is not None
         assert handle.campaigns("main")[0].store.path.exists()
@@ -133,7 +139,7 @@ class TestRunAndResume:
         experiment, session, first = executed
         second = session.run(experiment)
         assert second.n_executed == 0
-        assert second.n_cached == 32
+        assert second.n_cached == 1
         assert [r["result"] for r in second.records] == [
             r["result"] for r in first.records
         ]
@@ -142,7 +148,7 @@ class TestRunAndResume:
         experiment, session, first = executed
         view = session.attach(experiment)
         assert view.n_executed == 0
-        assert view.n_cached == 32
+        assert view.n_cached == 1
         assert view.point_hashes() == first.point_hashes()
         # The reducer still works on attached records.
         assert len(view.result().series("morphology", 0)) == 16
@@ -154,7 +160,7 @@ class TestRunAndResume:
     def test_fresh_reexecutes(self, executed):
         experiment, session, _first = executed
         handle = session.run(experiment, fresh=True)
-        assert handle.n_executed == 32
+        assert handle.n_executed == 1
         assert handle.n_cached == 0
 
     def test_run_accepts_a_path(self, tmp_path):
@@ -181,14 +187,70 @@ class TestRunAndResume:
             Session().validate(experiment)
 
 
+@pytest.fixture(scope="module")
+def energy_handle():
+    """A figure whose points carry scalar results, framed generically."""
+    return Session().run(Experiment(
+        name="tiny-energy",
+        kind="figure",
+        params=EnergyParams(
+            emts=("none", "dream"), voltages=(0.9,), workload_duration_s=1.0
+        ),
+    ))
+
+
 class TestResultHandle:
-    def test_frame_rows_join_coords_and_scalars(self, executed):
+    def test_frame_rows_join_coords_and_scalars(self, energy_handle):
+        rows = energy_handle.frame()
+        assert len(rows) == 2
+        for row, record in zip(rows, energy_handle.records):
+            assert row["campaign"] == "tiny-energy"
+            assert row["role"] == "main"
+            assert row["kind"] == "energy"
+            assert row["hash"] == record["hash"]
+            assert row["emt"] == record["coords"]["emt"]
+            assert row["voltage"] == 0.9
+            assert row["total_pj"] == record["result"]["total_pj"]
+
+    def test_fig2_frame_has_one_row_per_plotted_value(self, executed):
         _experiment, _session, handle = executed
         rows = handle.frame()
         assert len(rows) == 32
-        row = rows[0]
-        assert {"campaign", "role", "kind", "hash", "app", "position",
-                "stuck_value", "snr_db"} <= set(row)
+        curves = handle.result().snr_db["morphology"]
+        assert rows == [
+            {"app": "morphology", "stuck_value": stuck, "position": position,
+             "snr_db": curves[stuck][position]}
+            for stuck in (0, 1)
+            for position in range(16)
+        ]
+
+    def test_fig2_frame_keeps_apps_whose_records_all_succeeded(
+        self, monkeypatch
+    ):
+        from repro.campaign.evaluators import EVALUATORS
+
+        evaluate = EVALUATORS["bit_position"]
+
+        def flaky(params):
+            if params["app"] == "morphology":
+                raise RuntimeError("injected failure")
+            return evaluate(params)
+
+        monkeypatch.setitem(EVALUATORS, "bit_position", flaky)
+        handle = Session().run(Experiment(
+            name="partial-fig2",
+            kind="figure",
+            params=Fig2Params(
+                apps=("morphology", "dwt"), records=("100",),
+                duration_s=2.0,
+            ),
+        ))
+        assert len(handle.failures()) == 1
+        rows = handle.frame()
+        assert len(rows) == 32
+        assert {row["app"] for row in rows} == {"dwt"}
+        with pytest.raises(ReproError, match="missing grid point"):
+            handle.result()
 
     def test_pareto_over_frame(self, executed):
         _experiment, _session, handle = executed
@@ -202,14 +264,14 @@ class TestResultHandle:
         summary = handle.summary()
         assert summary["experiment"] == experiment.name
         assert summary["hash"] == experiment.content_hash()
-        assert summary["n_points"] == 32
+        assert summary["n_points"] == 1
         assert summary["figure"] == "fig2"
 
     def test_describe_names_campaigns_and_stores(self, executed):
         experiment, session, _handle = executed
         text = session.describe(experiment)
         assert "tiny-fig2" in text
-        assert "32 points" in text
+        assert "kind=bit_position, 1 points" in text
 
     def test_handle_reduces_once(self, executed):
         _experiment, _session, handle = executed

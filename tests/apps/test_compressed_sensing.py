@@ -125,6 +125,22 @@ class TestCompressedSensingApp:
         corrupted_snr = app.output_snr(samples, app.run(samples, fabric))
         assert corrupted_snr > clean_snr - 2
 
+    def test_reconstruct_equals_unshared_omp(self, record_100):
+        """Sharing the dictionary and its unit-column copy across blocks
+        changes no bit of the reconstruction."""
+        app = CompressedSensingApp()
+        measurements = app.run(record_100.samples[:1024], clean_fabric())
+        basis = daubechies4_basis(app.block_size)
+        scale = float(1 << app._shift)
+        m = app.n_measurements
+        expected = np.concatenate([
+            omp_reconstruct(app._phi, basis,
+                            measurements[start:start + m] * scale,
+                            app.max_atoms)
+            for start in range(0, measurements.size, m)
+        ])
+        assert np.array_equal(app.reconstruct(measurements), expected)
+
     def test_reconstruct_validates_length(self):
         app = CompressedSensingApp()
         with pytest.raises(SignalError):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, ShardedResultStore
 from repro.errors import CampaignError
 
 
@@ -65,6 +65,25 @@ class TestAppendMany:
         dropped = store.compact()
         assert dropped == 1
         assert store.load()["h0"]["result"] == {"value": 99}
+
+
+class TestShardedAppendMany:
+    def test_records_route_by_hash_and_load_merges(self, tmp_path):
+        store = ShardedResultStore.create(tmp_path / "c.shards", 2)
+        # Hex hashes route by their first 8 digits modulo the shard count.
+        records = [
+            {**_record(i), "hash": f"{i:08x}" + "0" * 56} for i in range(4)
+        ]
+        store.append_many(records)
+        for index in range(2):
+            lines = (
+                tmp_path / "c.shards" / f"shard-{index:02d}.jsonl"
+            ).read_text().splitlines()
+            assert [json.loads(line)["params"]["i"] for line in lines] == [
+                i for i in range(4) if i % 2 == index
+            ]
+        merged = ShardedResultStore(tmp_path / "c.shards").load()
+        assert sorted(merged) == sorted(r["hash"] for r in records)
 
 
 class TestRunnerTickBatching:

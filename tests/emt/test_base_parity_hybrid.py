@@ -139,11 +139,15 @@ class TestHybrid:
         hybrid.set_voltage(0.6)
         assert hybrid.active.name == "secded"
 
-    def test_boundary_prefers_lower_range(self):
-        # 0.85 is in both [0.85, 0.9] (none) and [0.65, 0.85] (dream);
-        # the policy is sorted by v_min, so dream (lower v_min) wins.
-        hybrid = build_hybrid(0.85)
-        assert hybrid.active.name == "dream"
+    def test_boundary_prefers_upper_range(self):
+        # 0.85 is in both [0.85, 0.9] (none) and [0.65, 0.85] (dream):
+        # the upper range's technique is safe there and cheaper.
+        hybrid = build_hybrid()
+        for voltage, name in ((0.9, "none"), (0.86, "none"),
+                              (0.85, "none"), (0.84, "dream"),
+                              (0.66, "dream"), (0.65, "dream"),
+                              (0.64, "secded"), (0.55, "secded")):
+            assert hybrid.select(voltage).name == name, voltage
 
     def test_uncovered_voltage_raises(self):
         hybrid = build_hybrid(0.7)

@@ -4,12 +4,14 @@ Figures run as ``kind = "figure"`` experiments through
 :class:`repro.api.Session`, whose campaign points must equal a direct
 in-process evaluation, be identical at any worker count, and resume
 from a result store — the guarantees that let callers scale sweeps
-without revalidating results.  The trial-batched :func:`run_fig2` must
-equal the campaign path too.
+without revalidating results.  A Fig 2 point's single trial-batched
+pass must equal one pipeline pass per (stuck value, position)
+configuration.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import Session
@@ -21,17 +23,28 @@ from repro.api.schema import (
     SweepParams,
     TradeoffParams,
 )
-from repro.apps.registry import make_app
+from repro.apps.base import BiomedicalApp
+from repro.apps.registry import cached_app, make_app
 from repro.campaign import evaluators, runner
-from repro.campaign.evaluators import grid_seed
+from repro.campaign.evaluators import (
+    _cached_corpus,
+    geometry_from_dict,
+    geometry_to_dict,
+    grid_seed,
+)
 from repro.emt import make_emt
+from repro.emt.base import NoProtection
 from repro.energy.technology import TECH_32NM_LP
 from repro.errors import ExperimentError
-from repro.exp import ExperimentConfig, fig2_spec, fig4_spec, run_fig2
+from repro.exp import ExperimentConfig, fig2_spec, fig4_spec
 from repro.exp.common import load_corpus, run_monte_carlo
 from repro.exp.energy_table import energy_analysis_from_records
+from repro.exp.fig2 import fig2_result_from_records
 from repro.exp.fig4 import fig4_result_from_records
 from repro.exp.tradeoff import tradeoff_from_records
+from repro.mem.fabric import MemoryFabric
+from repro.mem.faults import position_fault_map
+from repro.signals.metrics import SNR_CAP_DB
 
 FAST = ExperimentConfig(records=("100",), duration_s=3.0, n_runs=2)
 VOLTAGES = (0.6, 0.8)
@@ -111,7 +124,7 @@ class TestFig4Paths:
         assert fig4_result_from_records([], (), (0.9,)).points == {}
         no_voltages = fig4_result_from_records([], ("dwt",), ())
         assert no_voltages.points == {"dwt": {}}
-        assert run_fig2(app_names=(), config=FAST).snr_db == {}
+        assert fig2_result_from_records([], ()).snr_db == {}
         analysis = energy_analysis_from_records(
             [], ("none", "dream", "secded"), ()
         )
@@ -122,21 +135,99 @@ class TestFig4Paths:
             Session().plan(figure(EnergyParams(emts=("none", "typo"))))
 
 
-class TestFig2Paths:
-    def test_inline_instances_match_campaign(self, run_figure):
-        """The trial-batched in-process sweep equals the campaign."""
-        via_campaign = run_figure(Fig2Params(
-            apps=("morphology",), records=("100",), duration_s=2.0,
-        ))
-        batched = run_fig2(
-            app_names=("morphology",),
-            config=ExperimentConfig(records=("100",), duration_s=2.0),
+def per_configuration_snr(params: dict) -> dict:
+    """Fig 2 reference: one pipeline pass per (configuration, record).
+
+    The body of the pre-1.12 ``bit_position`` evaluator, verbatim: one
+    (app, stuck value, position) point averaged over its records.
+    """
+    geometry = geometry_from_dict(params.get("geometry"))
+    data_bits = params.get("data_bits", 16)
+    corpus = _cached_corpus(tuple(params["records"]), params["duration_s"])
+    cap_db = params.get("snr_cap_db", SNR_CAP_DB)
+    fault_map = position_fault_map(
+        geometry.n_words, data_bits, params["position"], params["stuck_value"]
+    )
+    app = cached_app(params["app"])
+    snrs = []
+    for samples in corpus.values():
+        fabric = MemoryFabric(
+            NoProtection(), fault_map=fault_map, geometry=geometry
         )
-        assert via_campaign.snr_db == batched.snr_db
+        output = app.run(samples, fabric)
+        snrs.append(app.output_snr(samples, output, cap_db=cap_db))
+    return {"snr_db": float(np.mean(snrs))}
+
+
+class TestFig2Paths:
+    APPS = ("dwt", "matrix_filter", "compressed_sensing", "morphology",
+            "delineation")
+    CONFIG = ExperimentConfig(records=("100", "106", "118"), duration_s=2.0)
+
+    @classmethod
+    def params(cls) -> Fig2Params:
+        return Fig2Params(
+            apps=cls.APPS, records=cls.CONFIG.records,
+            duration_s=cls.CONFIG.duration_s,
+        )
+
+    @pytest.fixture(scope="class")
+    def inline(self, run_figure):
+        return run_figure(self.params())
+
+    def test_inline_instances_match_campaign(self, inline):
+        """Every curve value equals the per-configuration reference —
+        all five apps, including ``delineation``'s per-trial fallback
+        and ``compressed_sensing``."""
+        fixed = {
+            "records": self.CONFIG.records,
+            "duration_s": self.CONFIG.duration_s,
+            "snr_cap_db": self.CONFIG.snr_cap_db,
+            "geometry": geometry_to_dict(self.CONFIG.geometry),
+            "data_bits": 16,
+        }
+        reference = {
+            app: {
+                stuck: [
+                    per_configuration_snr({
+                        **fixed, "app": app, "stuck_value": stuck,
+                        "position": position,
+                    })["snr_db"]
+                    for position in range(16)
+                ]
+                for stuck in (0, 1)
+            }
+            for app in self.APPS
+        }
+        assert inline.snr_db == reference
+
+    def test_worker_pool_matches_inline(self, inline, run_figure):
+        assert run_figure(self.params(), workers=2) == inline
+
+    def test_one_pipeline_pass_per_app_and_record(self, monkeypatch):
+        calls = []
+        original = BiomedicalApp.run_batch
+
+        def spy(app, samples, fabric):
+            calls.append((app.name, fabric.n_trials))
+            return original(app, samples, fabric)
+
+        monkeypatch.setattr(BiomedicalApp, "run_batch", spy)
+        Session().run(figure(Fig2Params(
+            apps=("dwt", "delineation"), records=("100", "106"),
+            duration_s=2.0,
+        )))
+        assert sorted(calls) == [
+            ("delineation", 32), ("delineation", 32),
+            ("dwt", 32), ("dwt", 32),
+        ]
 
     def test_spec_covers_the_full_grid(self):
         spec = fig2_spec(("dwt", "morphology"), FAST)
-        assert spec.grid_size == 2 * 2 * 16
+        assert spec.grid_size == 2 * len(FAST.records)
+        # A repeated record adds no point, as it added no corpus entry.
+        repeated = ExperimentConfig(records=("100", "106", "100"))
+        assert fig2_spec(("dwt",), repeated).grid_size == 2
 
 
 class TestTradeoffRegression:

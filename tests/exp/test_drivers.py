@@ -13,6 +13,7 @@ from repro.api import Session
 from repro.api.schema import (
     EnergyParams,
     Experiment,
+    Fig2Params,
     Fig4Params,
     TradeoffParams,
 )
@@ -20,7 +21,6 @@ from repro.campaign import extract_tradeoff
 from repro.energy.technology import PAPER_VOLTAGE_GRID
 from repro.exp import (
     ExperimentConfig,
-    run_fig2,
     tradeoff_from_records,
     overhead_table,
 )
@@ -92,8 +92,11 @@ class TestMonteCarlo:
 
 class TestFig2:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_fig2(app_names=("dwt", "matrix_filter"), config=FAST)
+    def result(self, run_figure):
+        return run_figure(Fig2Params(
+            apps=("dwt", "matrix_filter"), records=FAST.records,
+            duration_s=FAST.duration_s,
+        ))
 
     def test_structure(self, result):
         assert result.positions == list(range(16))

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.schema import EnergyParams, Fig4Params, TradeoffParams
-from repro.exp import (
-    ExperimentConfig,
-    overhead_table,
-    run_fig2,
+from repro.api.schema import (
+    EnergyParams,
+    Fig2Params,
+    Fig4Params,
+    TradeoffParams,
 )
+from repro.exp import ExperimentConfig, overhead_table
 from repro.exp.report import (
     format_energy_analysis,
     format_fig2,
@@ -25,8 +26,11 @@ FAST = ExperimentConfig(records=("100",), duration_s=3.0, n_runs=2)
 
 
 @pytest.fixture(scope="module")
-def fig2_result():
-    return run_fig2(app_names=("morphology",), config=FAST)
+def fig2_result(run_figure):
+    return run_figure(Fig2Params(
+        apps=("morphology",), records=FAST.records,
+        duration_s=FAST.duration_s,
+    ))
 
 
 @pytest.fixture(scope="module")

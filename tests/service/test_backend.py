@@ -55,7 +55,7 @@ class TestSessionRoundTrip:
                 experiment
             )
             assert handle.ok
-            assert handle.n_executed == 32
+            assert handle.n_executed == 1
             assert handle.n_cached == 0
 
             # The daemon executed it as one campaign job.
@@ -79,13 +79,13 @@ class TestSessionRoundTrip:
         with run_daemon() as (_service, client):
             session = Session(store_dir=service_paths["store"])
             first = session.run(experiment)
-            assert first.n_executed == 32
+            assert first.n_executed == 1
             # The job is terminal, so the resubmission is requeued and
             # re-executed — but every point is already stored: the
             # service run resolves fully from cache.
             second = session.run(experiment)
             assert second.n_executed == 0
-            assert second.n_cached == 32
+            assert second.n_cached == 1
             assert canon(second.records) == canon(first.records)
 
     def test_without_a_daemon_the_backend_says_how_to_start_one(self):

@@ -12,6 +12,7 @@ import pytest
 from repro.api.schema import Experiment, Fig2Params
 from repro.api.session import Session
 from repro.campaign.spec import CampaignSpec
+from repro.campaign.store import ShardedResultStore
 from repro.errors import ServiceError
 from repro.obs import RunRegistry
 from repro.service import (
@@ -38,13 +39,11 @@ def canon(records):
     )
 
 
-def tiny_fig2(name="svc-tiny", **top) -> Experiment:
+def tiny_fig2(name="svc-tiny", apps=("morphology",), **top) -> Experiment:
     return Experiment(
         name=name,
         kind="figure",
-        params=Fig2Params(
-            apps=("morphology",), records=("100",), duration_s=2.0
-        ),
+        params=Fig2Params(apps=apps, records=("100",), duration_s=2.0),
         **top,
     )
 
@@ -64,7 +63,8 @@ class TestExperimentJobs:
     def test_end_to_end_and_bit_identical_to_inline(
         self, run_daemon, service_paths, tmp_path
     ):
-        experiment = tiny_fig2(store="svc-fig2")
+        # Two points whose content hashes route to different shards.
+        experiment = tiny_fig2(apps=("morphology", "dwt"), store="svc-fig2")
         with run_daemon() as (_service, client):
             job, created = client.submit(experiment)
             assert created
@@ -72,13 +72,14 @@ class TestExperimentJobs:
                 f"{experiment.content_hash()[:12]}"
             record = client.wait(job.job_id, timeout_s=120)
             assert record.status == "done"
-            assert record.result["n_points"] == 32
+            assert record.result["n_points"] == 2
             assert record.result["n_failed"] == 0
 
             # Results shard across the daemon's configured shard count.
             shard_dir = service_paths["store"] / "svc-fig2.shards"
             shards = sorted(p.name for p in shard_dir.glob("shard-*.jsonl"))
             assert shards == ["shard-00.jsonl", "shard-01.jsonl"]
+            assert len(ShardedResultStore(shard_dir).load()) == 2
 
             # Fetch re-attaches to the stores — identical to an inline
             # run of the very same experiment, modulo wall-clock noise.
@@ -108,7 +109,7 @@ class TestExperimentJobs:
             assert events, "no run.progress heartbeats streamed"
             assert all(e["name"] == "run.progress" for e in events)
             last = events[-1]
-            assert last["value"] == last["attrs"]["total"] == 32
+            assert last["value"] == last["attrs"]["total"] == 1
 
     def test_ephemeral_experiment_runs_but_persists_nothing(
         self, run_daemon

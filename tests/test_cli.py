@@ -6,10 +6,14 @@ the small experiment files the tests drive.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "examples" / "experiments"
@@ -169,6 +173,34 @@ class TestCommands:
         err = capsys.readouterr().err
         assert message in err
         assert err.count(str(path)) == 1
+
+    def test_closed_stdout_exits_quietly(self):
+        """``repro describe <file> | true``: no traceback, SIGPIPE's code."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "describe",
+                 str(EXPERIMENTS / "sweep_paper.toml")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
+
+    def test_other_broken_pipe_is_an_error(self, monkeypatch, capsys):
+        """A broken pipe that is not stdout's is reported, not hidden."""
+        import repro.cli as cli
+
+        def broken(_args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setitem(cli._HANDLERS, "describe", broken)
+        assert main(["describe", str(EXPERIMENTS / "sweep_paper.toml")]) == 1
+        assert "error: broken pipe" in capsys.readouterr().err
 
     def test_record_unknown_returns_error(self, capsys):
         assert main(["record", "999"]) == 1
