@@ -682,6 +682,11 @@ _PLANNERS: dict[str, Callable[[Experiment], _Plan]] = {
 }
 
 
+def _points(n: int) -> str:
+    """``"1 point"``, ``"8 points"``: a point count for :meth:`describe`."""
+    return f"{n} point" if n == 1 else f"{n} points"
+
+
 # --------------------------------------------------------------------------
 # The session facade
 # --------------------------------------------------------------------------
@@ -994,7 +999,7 @@ class Session:
             )
             lines.append(
                 f"  [{planned.role}] campaign {planned.spec.name!r}: "
-                f"kind={planned.spec.kind}, {n_points} points -> {target}"
+                f"kind={planned.spec.kind}, {_points(n_points)} -> {target}"
             )
-        lines.append(f"  total: {total} points")
+        lines.append(f"  total: {_points(total)}")
         return "\n".join(lines)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import MissionError
 
@@ -94,9 +94,12 @@ class PolicyContext:
         return len(self.ladder) - 1
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Per-window runtime state presented to a policy.
+
+    A named tuple, so the streaming loop builds one per window cheaply:
+    fields read by name as before, and the tuple API (``_fields``,
+    ``_replace``, ``_asdict``, equality, unpacking) comes with it.
 
     Attributes:
         window_index: zero-based window number.

@@ -19,8 +19,9 @@ a 24 h mission.  Instead the simulator factors the loop into
 * a **streaming layer**: one plain Python loop that every policy, built
   in or custom, goes through.  The environment's draws are made and
   clipped as whole vectors up front and the battery is a float drained
-  inline, so each window costs one fresh :class:`Observation`, one
-  policy decision and a few float operations.
+  inline, so each window costs one fresh :class:`Observation` (a named
+  tuple, built positionally), one policy decision and a few float
+  operations.
 
 Both layers are deterministic: calibration seeds derive from the
 configuration's content (CRC-32, like the campaign grid seeds), the
@@ -597,7 +598,8 @@ class MissionSimulator:
             last_snr = quality
 
             energy_j += window_j
-            remaining_j = max(0.0, remaining_j - window_j)
+            remaining_j -= window_j
+            remaining_j = remaining_j if remaining_j > 0.0 else 0.0
             soc = remaining_j / usable_j
             if keep_trace:
                 trace.append(

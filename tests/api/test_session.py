@@ -271,7 +271,8 @@ class TestResultHandle:
         experiment, session, _handle = executed
         text = session.describe(experiment)
         assert "tiny-fig2" in text
-        assert "kind=bit_position, 1 points" in text
+        assert "kind=bit_position, 1 point ->" in text
+        assert text.splitlines()[-1] == "  total: 1 point"
 
     def test_handle_reduces_once(self, executed):
         _experiment, _session, handle = executed

@@ -4,12 +4,75 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.apps import MorphologicalFilterApp
 from repro.apps.base import clean_fabric
-from repro.apps.morphology import closing, dilate, erode, opening
+from repro.apps.morphology import (
+    _sliding_extreme,
+    closing,
+    dilate,
+    erode,
+    opening,
+)
 from repro.errors import SignalError
 from repro.signals.dataset import load_record
+
+
+def strided_sliding_extreme(
+    values: np.ndarray, length: int, take_max: bool
+) -> np.ndarray:
+    """The O(n * length) strided running min/max, kept as the reference."""
+    arr = np.asarray(values, dtype=np.int64)
+    half = length // 2
+    padded = np.concatenate(
+        [
+            np.repeat(arr[..., :1], half, axis=-1),
+            arr,
+            np.repeat(arr[..., -1:], half, axis=-1),
+        ],
+        axis=-1,
+    )
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, length, axis=-1
+    )
+    return windows.max(axis=-1) if take_max else windows.min(axis=-1)
+
+
+@st.composite
+def signals(draw) -> np.ndarray:
+    """1-D or trial-batched ``(n_trials, n)`` int64 signals."""
+    n = draw(st.integers(1, 300))
+    n_trials = draw(st.integers(0, 4))
+    shape = (n_trials, n) if n_trials else (n,)
+    return draw(
+        hnp.arrays(
+            np.int64, shape, elements=st.integers(-(2**62), 2**62)
+        )
+    )
+
+
+#: A batched signal shorter than every baseline element.
+SHORT = np.array([[4, -9, 2], [0, 7, -1]], dtype=np.int64)
+
+
+class TestSlidingExtremeMatchesStridedReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=signals(),
+        length=st.integers(0, 64).map(lambda k: 2 * k + 1),
+        take_max=st.booleans(),
+    )
+    @example(values=SHORT, length=73, take_max=False)
+    @example(values=SHORT, length=129, take_max=True)
+    def test_property(self, values, length, take_max):
+        got = _sliding_extreme(values, length, take_max)
+        expected = strided_sliding_extreme(values, length, take_max)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 class TestOperators:
