@@ -26,7 +26,6 @@ import time
 
 from repro.cache import computed_events, shared_cache
 from repro.cohort import CohortSpec, FleetSimulator, median_survival_days
-from repro.runtime import simulator as mission_simulator
 
 POLICY_TOKENS = ("hysteresis", "soc")
 
@@ -49,9 +48,8 @@ def test_fleet_throughput_and_cache(
     monkeypatch.setenv(
         "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cohort-cache"))
     )
-    # A cold start: no warm in-process memos, an empty disk cache.
-    mission_simulator._calibrated_quality.cache_clear()
-    mission_simulator._window_energy_pj.cache_clear()
+    # A cold start: a fresh cache root is a fresh shared cache, with an
+    # empty memory layer and an empty disk.
 
     spec = CohortSpec(
         name="bench-fleet",
@@ -65,11 +63,9 @@ def test_fleet_throughput_and_cache(
     rows = []
     cold = fleet.run(POLICY_TOKENS[0], n_workers=workers)
     rows.append((POLICY_TOKENS[0] + " (cold)", cold))
-    # The second policy's fleet re-needs the same calibration set; with
-    # the in-process memos dropped, every hit is visible on the shared
-    # cache's counters — the fleet-wide dedup this subsystem exists for.
-    mission_simulator._calibrated_quality.cache_clear()
-    mission_simulator._window_energy_pj.cache_clear()
+    # The second policy's fleet re-needs the same calibration set; the
+    # shared cache is the one memo, so every hit shows on its counters —
+    # the fleet-wide dedup this subsystem exists for.
     warm = benchmark.pedantic(
         lambda: fleet.run(POLICY_TOKENS[1], n_workers=workers),
         rounds=1,

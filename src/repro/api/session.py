@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -237,25 +237,6 @@ def _experiment_config(
     if seed is not None:
         kwargs["seed"] = seed
     return ExperimentConfig(**kwargs)
-
-
-def resolved_mission_spec(params: MissionParams, seed: int | None):
-    """The :class:`~repro.runtime.mission.MissionSpec` a mission
-    experiment simulates: scenario, then scaling, then overrides — the
-    exact resolution order of the ``mission`` campaign evaluator."""
-    from ..runtime.scenarios import scenario_spec
-
-    spec = scenario_spec(params.scenario)
-    if params.duration_scale != 1.0:
-        spec = spec.scaled(params.duration_scale)
-    overrides: dict[str, Any] = {}
-    if params.window_s is not None:
-        overrides["window_s"] = params.window_s
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        spec = replace(spec, **overrides)
-    return spec
 
 
 def _policy_axis(policies: tuple, n_rungs: int | None) -> tuple:
@@ -555,8 +536,15 @@ def _plan_sweep(experiment: Experiment) -> _Plan:
 
 def _plan_mission(experiment: Experiment) -> _Plan:
     """Plan a closed-loop mission policy comparison."""
+    from ..runtime import resolve_mission
+
     params: MissionParams = experiment.params
-    spec = resolved_mission_spec(params, experiment.seed)
+    spec = resolve_mission(
+        params.scenario,
+        duration_scale=params.duration_scale,
+        seed=experiment.seed,
+        window_s=params.window_s,
+    )
     n_rungs = len({(e, v) for e in spec.emts for v in spec.voltages})
     fixed: dict[str, Any] = {"scenario": params.scenario}
     if params.duration_scale != 1.0:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import zlib
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import lru_cache
 from typing import Any
 
@@ -314,25 +314,23 @@ def _eval_mission(params: dict[str, Any]) -> dict[str, Any]:
     """
     # Imported lazily: repro.runtime prices windows through this module,
     # so the reverse edge must resolve at call time.
-    from ..runtime import MissionSimulator, policy_from_dict
+    from ..runtime import MissionSimulator, policy_from_dict, resolve_mission
     from ..runtime.mission import MissionSpec
-    from ..runtime.scenarios import scenario_spec
 
     if "mission" in params:
-        spec = MissionSpec.from_dict(params["mission"])
+        base = MissionSpec.from_dict(params["mission"])
     elif "scenario" in params:
-        spec = scenario_spec(params["scenario"])
+        base = params["scenario"]
     else:
         raise CampaignError(
             "mission point needs a 'scenario' name or a 'mission' dict"
         )
-    if "duration_scale" in params:
-        spec = spec.scaled(params["duration_scale"])
-    overrides = {
-        key: params[key] for key in ("seed", "window_s") if key in params
-    }
-    if overrides:
-        spec = replace(spec, **overrides)
+    spec = resolve_mission(
+        base,
+        duration_scale=params.get("duration_scale", 1.0),
+        seed=params.get("seed"),
+        window_s=params.get("window_s"),
+    )
     if "policy" not in params:
         raise CampaignError(
             "mission point needs a 'policy' (registry name or "

@@ -599,11 +599,15 @@ def _print_sweep_report(experiment, handle, workers: int) -> int:
 
 def _print_mission_header(experiment) -> None:
     """The mission context block: timeline and priced ladder."""
-    from .api.session import resolved_mission_spec
-    from .runtime import MissionSimulator
+    from .runtime import MissionSimulator, resolve_mission
 
     params = experiment.params
-    spec = resolved_mission_spec(params, experiment.seed)
+    spec = resolve_mission(
+        params.scenario,
+        duration_scale=params.duration_scale,
+        seed=experiment.seed,
+        window_s=params.window_s,
+    )
     simulator = MissionSimulator(
         spec,
         n_probe=params.probe_runs,
@@ -629,10 +633,10 @@ def _print_mission_header(experiment) -> None:
 
 def _print_mission_report(experiment, handle, workers: int) -> int:
     """Render the per-policy mission comparison table."""
-    from .api.session import resolved_mission_spec
     from .exp.report import format_mission
+    from .runtime import resolve_mission
 
-    spec = resolved_mission_spec(experiment.params, experiment.seed)
+    spec = resolve_mission(experiment.params.scenario)
     n_failed = _print_point_failures(handle)
     results = handle.result()
     if results:

@@ -39,7 +39,6 @@ import numpy as np
 from .. import obs
 from ..api.serde import policy_label
 from ..cache import shared_cache
-from ..energy.technology import TECH_32NM_LP, Technology
 from ..errors import CohortError
 from ..resilience import fan_out
 from ..runtime.policy import policy_from_dict
@@ -57,7 +56,6 @@ def simulate_patient(
     cohort: CohortSpec,
     index: int,
     policy: str | dict[str, Any],
-    tech: Technology = TECH_32NM_LP,
     n_probe: int = 3,
     probe_duration_s: float = 4.0,
 ) -> dict[str, Any]:
@@ -83,7 +81,6 @@ def simulate_patient(
         try:
             simulator = MissionSimulator(
                 cohort.mission_for(profile),
-                tech=tech,
                 n_probe=n_probe,
                 probe_duration_s=probe_duration_s,
             )
@@ -193,7 +190,6 @@ class FleetSimulator:
 
     Args:
         cohort: the population to simulate.
-        tech: technology node (default: the paper's 32 nm LP node).
         n_probe / probe_duration_s: calibration fidelity knobs, passed
             through to every patient's :class:`MissionSimulator`.
 
@@ -210,28 +206,19 @@ class FleetSimulator:
     def __init__(
         self,
         cohort: CohortSpec,
-        tech: Technology = TECH_32NM_LP,
         n_probe: int = 3,
         probe_duration_s: float = 4.0,
     ) -> None:
         self.cohort = cohort
-        self.tech = tech
         self.n_probe = n_probe
         self.probe_duration_s = probe_duration_s
-
-    def _knobs(self) -> dict[str, Any]:
-        return {
-            "tech": self.tech,
-            "n_probe": self.n_probe,
-            "probe_duration_s": self.probe_duration_s,
-        }
 
     def simulate_patient(
         self, index: int, policy: str | dict[str, Any]
     ) -> dict[str, Any]:
         """One patient's row, exactly as a fleet run would produce it."""
         return simulate_patient(
-            self.cohort, index, policy, **self._knobs()
+            self.cohort, index, policy, self.n_probe, self.probe_duration_s
         )
 
     def run(
@@ -274,7 +261,11 @@ class FleetSimulator:
             # becomes a failed row.  The partial ships once per worker
             # process, not once per patient.
             simulate = functools.partial(
-                simulate_patient, self.cohort, policy=policy, **self._knobs()
+                simulate_patient,
+                self.cohort,
+                policy=policy,
+                n_probe=self.n_probe,
+                probe_duration_s=self.probe_duration_s,
             )
             for outcomes in fan_out(
                 simulate,

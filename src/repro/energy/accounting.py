@@ -40,24 +40,7 @@ __all__ = [
     "Workload",
     "EnergyBreakdown",
     "EnergySystemModel",
-    "workload_from_fabric",
 ]
-
-
-def workload_from_fabric(fabric, duration_s: float) -> "Workload":
-    """Build a :class:`Workload` from a fabric's access counters.
-
-    Args:
-        fabric: a :class:`repro.mem.fabric.MemoryFabric` after one or
-            more application runs.
-        duration_s: the active-processing span (e.g. from a
-            :class:`repro.soc.SimulationReport`'s ``duration_s``).
-    """
-    return Workload(
-        n_reads=fabric.stats.data_reads,
-        n_writes=fabric.stats.data_writes,
-        duration_s=duration_s,
-    )
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,13 @@ from .policy import (
     policy_from_token,
     register_policy,
 )
-from .scenarios import SCENARIOS, register_scenario, scenario_names, scenario_spec
+from .scenarios import (
+    SCENARIOS,
+    register_scenario,
+    resolve_mission,
+    scenario_names,
+    scenario_spec,
+)
 from .simulator import BatchCalibrator, MissionSimulator
 
 __all__ = [
@@ -68,4 +74,5 @@ __all__ = [
     "register_scenario",
     "scenario_names",
     "scenario_spec",
+    "resolve_mission",
 ]

@@ -27,6 +27,7 @@ reference every scenario by name.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import replace
 
 from ..energy.battery import BatteryModel
 from ..errors import MissionError
@@ -37,6 +38,7 @@ __all__ = [
     "register_scenario",
     "scenario_spec",
     "scenario_names",
+    "resolve_mission",
 ]
 
 #: Registry of scenario factories, keyed by scenario name.
@@ -73,6 +75,31 @@ def scenario_spec(name: str) -> MissionSpec:
 def scenario_names() -> list[str]:
     """Names of all registered scenarios, sorted."""
     return sorted(SCENARIOS)
+
+
+def resolve_mission(
+    base: MissionSpec | str,
+    duration_scale: float = 1.0,
+    seed: int | None = None,
+    window_s: float | None = None,
+) -> MissionSpec:
+    """The mission a run simulates, in one resolution order.
+
+    ``base`` (a scenario name or a spec), then
+    :meth:`~repro.runtime.mission.MissionSpec.scaled` by
+    ``duration_scale``, then the ``seed``/``window_s`` overrides that
+    are not ``None``.  Mission experiments, the ``mission`` campaign
+    evaluator and the CLI's mission header all resolve through here.
+    """
+    spec = scenario_spec(base) if isinstance(base, str) else base
+    if duration_scale != 1.0:
+        spec = spec.scaled(duration_scale)
+    overrides = {
+        key: value
+        for key, value in (("seed", seed), ("window_s", window_s))
+        if value is not None
+    }
+    return replace(spec, **overrides) if overrides else spec
 
 
 @register_scenario("overnight")

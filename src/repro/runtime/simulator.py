@@ -5,15 +5,15 @@ under an operating-point policy.  A naive implementation would run the
 full fault-injection pipeline for every window — hours of wall-clock for
 a 24 h mission.  Instead the simulator factors the loop into
 
-* a **calibration layer** (cached per process): for each distinct
+* a **calibration layer** (cached, see below): for each distinct
   ``(app, segment signature, operating point)`` the real pipeline runs —
   segment trace synthesised by :mod:`repro.signals`, stuck-at fault maps
   drawn at the segment's effective BER, application executed against the
-  faulty fabric — yielding a quality model (mean/std SNR).  Since the
-  trial-batched pipeline landed, :class:`BatchCalibrator` runs all
-  ``n_probe`` Monte-Carlo probes of one model as a single stacked
-  ``(n_probe, n_words)`` pass (bit-identical to the historical probe
-  loop, so cached models never shift).  Energy per window is likewise
+  faulty fabric — yielding a quality model (mean/std SNR).
+  :class:`BatchCalibrator` runs all ``n_probe`` Monte-Carlo probes of
+  one model through the shared Section V driver,
+  :func:`~repro.exp.common.run_monte_carlo`, as a single stacked
+  ``(n_probe, n_words)`` pass.  Energy per window is likewise
   priced once per operating point with the Section VI-B accounting
   model, with leakage integrated over the whole window;
 * a **streaming layer**: one plain Python loop that every policy, built
@@ -29,13 +29,14 @@ streaming draws from the mission seed — so the same mission under the
 same policy always produces the same :class:`MissionResult`, regardless
 of which process ran it or what was cached.
 
-Calibrations are cached at three levels: a per-run ``[segment][rung]``
-table inside the loop, a per-process ``lru_cache`` memo, and the shared
-on-disk :class:`~repro.cache.DiskCache`, so repeated mission experiments
-— and every worker of a :class:`~repro.cohort.FleetSimulator` fleet —
-compute each (segment signature, operating point) model exactly once
-machine-wide (``REPRO_CACHE_DIR`` moves the cache,
-``REPRO_CACHE_DISABLE=1`` turns the disk layer off).
+Calibrations are cached at two levels: a per-run ``[segment][rung]``
+table inside the loop, and the shared :class:`~repro.cache.DiskCache`,
+whose memory layer answers repeats within a process and whose disk
+layer lets repeated mission experiments — and every worker of a
+:class:`~repro.cohort.FleetSimulator` fleet — compute each (segment
+signature, operating point) model exactly once machine-wide
+(``REPRO_CACHE_DIR`` moves the cache, ``REPRO_CACHE_DISABLE=1`` turns
+the disk layer off).
 """
 
 from __future__ import annotations
@@ -51,15 +52,13 @@ from .. import obs
 from ..cache import shared_cache
 from ..emt import make_emt
 from ..energy.accounting import EnergySystemModel
-from ..energy.technology import TECH_32NM_LP, Technology
+from ..energy.technology import TECH_32NM_LP
 from ..errors import MissionError
 from ..exp.common import (
-    corpus_footprint,
-    trial_snrs,
+    ExperimentConfig,
+    run_monte_carlo,
     validate_registry_names,
 )
-from ..mem.fabric import MemoryFabric
-from ..mem.faults import sample_fault_map, sample_fault_map_batch
 from ..signals.dataset import CATALOG, synthesize_record
 from ..signals.metrics import SNR_CAP_DB
 from .mission import MissionResult, MissionSpec, SegmentSpec
@@ -109,7 +108,6 @@ def _probe_samples(
     return samples
 
 
-@lru_cache(maxsize=4096)
 def _calibrated_quality(
     app_name: str,
     record: str,
@@ -122,11 +120,13 @@ def _calibrated_quality(
 ) -> tuple[float, float]:
     """Quality model of one (segment signature, operating point) pair.
 
-    The ``lru_cache`` is the per-process memory layer; behind it the
-    shared disk cache (:func:`repro.cache.shared_cache`) makes the
-    underlying fault-injection run (:func:`_probe_quality`) a
-    once-per-machine event, shared by every mission, fleet worker and
-    CLI invocation that needs the same model.
+    The shared cache (:func:`repro.cache.shared_cache`) is the one memo:
+    its memory layer answers repeats within a process, and its disk
+    layer makes the underlying fault-injection run a once-per-machine
+    event, shared by every mission, fleet worker and CLI invocation that
+    needs the same model.  Keyed by the *effective* BER, so segments
+    whose stress lands two lattice voltages on the same BER share one
+    calibration.
     """
     payload = {
         "kind": "mission-quality",
@@ -140,37 +140,43 @@ def _calibrated_quality(
         "probe_duration_s": probe_duration_s,
         "snr_cap_db": snr_cap_db,
     }
-    mean, std = shared_cache().get_or_compute(
-        payload,
-        lambda: list(
-            _probe_quality(
-                app_name, record, noise_gain, emt_name, ber,
-                n_probe, probe_duration_s, snr_cap_db,
+
+    def compute() -> list[float]:
+        # This only runs on a full cache miss, so the span marks exactly
+        # the expensive fault-injection work a trace should surface.
+        with obs.span(
+            "calibrate", app=app_name, record=record, emt=emt_name,
+            ber=ber, n_probe=n_probe,
+        ):
+            calibrator = BatchCalibrator(
+                n_probe=n_probe,
+                probe_duration_s=probe_duration_s,
+                snr_cap_db=snr_cap_db,
             )
-        ),
-    )
+            return list(
+                calibrator.calibrate(
+                    app_name, record, noise_gain, emt_name, ber
+                )
+            )
+
+    mean, std = shared_cache().get_or_compute(payload, compute)
     return float(mean), float(std)
 
 
-#: Words of the calibration probe array (the paper's 32 kB geometry).
-_PROBE_WORDS = 16384
-
-
 class BatchCalibrator:
-    """Trial-batched calibration of one (segment, operating-point) model.
+    """Calibration of one (segment, operating-point) quality model.
 
-    Replaces the historical per-probe Python loop: all ``n_probe``
-    stuck-at fault maps are drawn as one stacked batch (consuming the
-    calibration RNG stream in the exact per-probe order) and the whole
-    Monte-Carlo batch flows through EMT encode -> faulty SRAM -> decode
-    as 2-D ``(n_probe, n_words)`` arrays, one vectorised pass per
-    pipeline stage.  The (mean, std) it returns is bit-identical to the
-    sequential loop (property-tested), so disk-cache entries written by
-    either implementation are interchangeable — and the cache *keys*
-    never see the implementation at all.  Like
-    :func:`~repro.exp.common.run_monte_carlo` it goes through
-    :func:`~repro.exp.common.trial_snrs`: only probes whose map holds a
-    fault, plus one fault-free probe, run the pipeline.
+    A calibration is the paper's Section V protocol restricted to one
+    EMT and one record: :func:`~repro.exp.common.run_monte_carlo` draws
+    all ``n_probe`` stuck-at fault maps as one stacked batch at the
+    effective BER and runs the segment's probe trace through the faulty
+    fabric, one vectorised pass per pipeline stage.  Only probes whose
+    map holds a fault, plus one fault-free probe, run the pipeline.
+    The seed derives from the model's content (CRC-32), so the same
+    model always gets the same fault maps; :meth:`_protocol` builds the
+    driver's arguments, which
+    :func:`~repro.exp.common.run_monte_carlo_sequential` replays as the
+    executable reference.
 
     Args:
         n_probe: fault-injection probes per quality model.
@@ -200,6 +206,36 @@ class BatchCalibrator:
         self.probe_duration_s = probe_duration_s
         self.snr_cap_db = snr_cap_db
 
+    def _protocol(
+        self,
+        app_name: str,
+        record: str,
+        noise_gain: float,
+        emt_name: str,
+        ber: float,
+    ) -> tuple:
+        """The :func:`~repro.exp.common.run_monte_carlo` arguments of one
+        calibration: app, EMT, clamped BER, config, probe corpus, seed."""
+        key = f"{app_name}:{record}:{noise_gain!r}:{emt_name}:{ber!r}"
+        config = ExperimentConfig(
+            records=(record,),
+            duration_s=self.probe_duration_s,
+            n_runs=self.n_probe,
+            seed=_CALIBRATION_SEED,
+            snr_cap_db=self.snr_cap_db,
+        )
+        corpus = {
+            record: _probe_samples(record, noise_gain, self.probe_duration_s)
+        }
+        return (
+            _cached_app(app_name),
+            {emt_name: make_emt(emt_name)},
+            min(ber, _MAX_BER),
+            config,
+            corpus,
+            zlib.crc32(key.encode()),
+        )
+
     def calibrate(
         self,
         app_name: str,
@@ -209,102 +245,28 @@ class BatchCalibrator:
         ber: float,
     ) -> tuple[float, float]:
         """(mean, std) window SNR of one (segment, operating point)."""
-        samples = _probe_samples(record, noise_gain, self.probe_duration_s)
-        app = _cached_app(app_name)
-        emt = make_emt(emt_name)
-        key = f"{app_name}:{record}:{noise_gain!r}:{emt_name}:{ber!r}"
-        rng = np.random.default_rng(
-            (_CALIBRATION_SEED, zlib.crc32(key.encode()))
+        result = run_monte_carlo(
+            *self._protocol(app_name, record, noise_gain, emt_name, ber)
         )
-        fault_map = sample_fault_map_batch(
-            self.n_probe, _PROBE_WORDS, emt.stored_bits,
-            min(ber, _MAX_BER), rng,
-            live_words=corpus_footprint(app, (samples,)),
-        )
-        snrs = trial_snrs(app, emt, fault_map, (samples,), self.snr_cap_db)[0]
-        return float(snrs.mean()), float(snrs.std())
-
-    def calibrate_sequential(
-        self,
-        app_name: str,
-        record: str,
-        noise_gain: float,
-        emt_name: str,
-        ber: float,
-    ) -> tuple[float, float]:
-        """The historical probe-by-probe loop, kept as the executable
-        reference the property suite pins :meth:`calibrate` against."""
-        samples = _probe_samples(record, noise_gain, self.probe_duration_s)
-        app = _cached_app(app_name)
-        emt = make_emt(emt_name)
-        key = f"{app_name}:{record}:{noise_gain!r}:{emt_name}:{ber!r}"
-        rng = np.random.default_rng(
-            (_CALIBRATION_SEED, zlib.crc32(key.encode()))
-        )
-        snrs = []
-        for _ in range(self.n_probe):
-            fault_map = sample_fault_map(
-                _PROBE_WORDS, emt.stored_bits, min(ber, _MAX_BER), rng
-            )
-            fabric = MemoryFabric(
-                emt, fault_map=fault_map, collect_decode_stats=False
-            )
-            output = app.run(samples, fabric)
-            snrs.append(app.output_snr(samples, output, cap_db=self.snr_cap_db))
-        arr = np.asarray(snrs)
-        return float(arr.mean()), float(arr.std())
+        return result.snr_mean_db[emt_name], result.snr_std_db[emt_name]
 
 
-def _probe_quality(
-    app_name: str,
-    record: str,
-    noise_gain: float,
-    emt_name: str,
-    ber: float,
-    n_probe: int,
-    probe_duration_s: float,
-    snr_cap_db: float,
-) -> tuple[float, float]:
-    """The real calibration work behind :func:`_calibrated_quality`.
-
-    Runs the paper's Section V fault-injection protocol — fresh fault
-    map per probe — as one :class:`BatchCalibrator` batch and returns
-    the (mean, std) window SNR.  Keyed by the *effective* BER, so
-    segments whose stress lands two lattice voltages on the same BER
-    share one calibration.
-    """
-    calibrator = BatchCalibrator(
-        n_probe=n_probe,
-        probe_duration_s=probe_duration_s,
-        snr_cap_db=snr_cap_db,
-    )
-    # This only runs on a full cache miss, so the span marks exactly
-    # the expensive fault-injection work a trace should surface.
-    with obs.span(
-        "calibrate", app=app_name, record=record, emt=emt_name,
-        ber=ber, n_probe=n_probe,
-    ):
-        return calibrator.calibrate(
-            app_name, record, noise_gain, emt_name, ber
-        )
-
-
-@lru_cache(maxsize=512)
 def _window_energy_pj(
     app_name: str,
     emt_name: str,
     voltage: float,
     window_s: float,
-    tech: Technology,
 ) -> float:
     """Memory-system energy of one window at one operating point.
 
-    ``tech`` is a frozen (and therefore hashable) dataclass, so two
-    nodes differing in any constant cache separately even if they share
-    a name; its full serialised form is part of the disk-cache key for
-    the same reason.
+    Priced at the paper's 32 nm LP node, whose full serialised form
+    stays part of the disk-cache key.  The access counts come from a
+    measured run of the application on one window's worth of signal;
+    leakage integrates over the *full* window (the array retains state
+    between bursts), so energy keeps its supply dependence even for
+    sparse workloads.
     """
-    from ..campaign.evaluators import technology_to_dict
+    from ..campaign.evaluators import measured_workload, technology_to_dict
 
     payload = {
         "kind": "window-energy",
@@ -313,51 +275,31 @@ def _window_energy_pj(
         "emt": emt_name,
         "voltage": voltage,
         "window_s": window_s,
-        "tech": technology_to_dict(tech),
+        "tech": technology_to_dict(TECH_32NM_LP),
     }
-    return float(
-        shared_cache().get_or_compute(
-            payload,
-            lambda: _price_window(app_name, emt_name, voltage, window_s, tech),
-        )
-    )
 
+    def compute() -> float:
+        with obs.span(
+            "price_window", app=app_name, emt=emt_name, voltage=voltage
+        ):
+            workload = replace(
+                measured_workload(
+                    app_name=app_name, record="100", duration_s=window_s
+                ),
+                duration_s=window_s,
+            )
+            model = EnergySystemModel(make_emt(emt_name))
+            return model.evaluate(voltage, workload).total_pj
 
-def _price_window(
-    app_name: str,
-    emt_name: str,
-    voltage: float,
-    window_s: float,
-    tech: Technology,
-) -> float:
-    """The real pricing work behind :func:`_window_energy_pj`.
-
-    The access counts come from a measured run of the application on one
-    window's worth of signal; leakage integrates over the *full* window
-    (the array retains state between bursts), so energy keeps its supply
-    dependence even for sparse workloads.
-    """
-    from ..campaign.evaluators import measured_workload
-
-    with obs.span(
-        "price_window", app=app_name, emt=emt_name, voltage=voltage
-    ):
-        workload = replace(
-            measured_workload(
-                app_name=app_name, record="100", duration_s=window_s
-            ),
-            duration_s=window_s,
-        )
-        model = EnergySystemModel(make_emt(emt_name), tech=tech)
-        return model.evaluate(voltage, workload).total_pj
+    return float(shared_cache().get_or_compute(payload, compute))
 
 
 class MissionSimulator:
     """Run missions: one calibration pass, then streaming windows.
 
     Args:
-        spec: the mission to simulate.
-        tech: technology node (default: the paper's 32 nm LP node).
+        spec: the mission to simulate (priced at the paper's 32 nm LP
+            node).
         n_probe: fault-injection probes per calibrated quality model.
         probe_duration_s: seconds of segment signal per probe run.
         snr_cap_db: SNR ceiling for bit-exact windows.
@@ -376,7 +318,6 @@ class MissionSimulator:
     def __init__(
         self,
         spec: MissionSpec,
-        tech: Technology = TECH_32NM_LP,
         n_probe: int = 3,
         probe_duration_s: float = 4.0,
         snr_cap_db: float = SNR_CAP_DB,
@@ -392,7 +333,7 @@ class MissionSimulator:
             app_names=(spec.app,), emt_names=tuple(spec.emts)
         )
         for voltage in spec.voltages:
-            tech.check_voltage(voltage)
+            TECH_32NM_LP.check_voltage(voltage)
         for segment in spec.segments:
             if segment.record not in CATALOG:
                 raise MissionError(
@@ -400,7 +341,6 @@ class MissionSimulator:
                     f"{segment.record!r}; available: {sorted(CATALOG)}"
                 )
         self.spec = spec
-        self.tech = tech
         self.n_probe = n_probe
         self.probe_duration_s = probe_duration_s
         self.snr_cap_db = snr_cap_db
@@ -419,8 +359,7 @@ class MissionSimulator:
                 seen.setdefault(
                     (emt_name, voltage),
                     _window_energy_pj(
-                        spec.app, emt_name, voltage, spec.window_s,
-                        self.tech,
+                        spec.app, emt_name, voltage, spec.window_s
                     ),
                 )
         ordered = sorted(seen.items(), key=lambda item: item[1])
@@ -474,7 +413,7 @@ class MissionSimulator:
         self, segment: SegmentSpec, point: LadderPoint
     ) -> tuple[float, float]:
         """The calibrated (mean, std) SNR of one (segment, rung) pair."""
-        ber = self.tech.ber(point.voltage) * segment.ber_multiplier
+        ber = TECH_32NM_LP.ber(point.voltage) * segment.ber_multiplier
         return _calibrated_quality(
             self.spec.app,
             segment.record,

@@ -32,7 +32,7 @@ from repro.api.schema import (
     dump_experiment,
     load_experiment,
 )
-from repro.api.session import Session, resolved_mission_spec
+from repro.api.session import Session
 from repro.campaign.spec import CampaignSpec
 from repro.cli import main
 
@@ -249,13 +249,23 @@ class TestResultsEqualDirectSimulators:
     """Layer 3: executed metrics are bit-identical to the subsystems."""
 
     def test_mission_session_equals_direct_simulator(self):
-        from repro.runtime import MissionSimulator, policy_from_dict
+        from repro.runtime import (
+            MissionSimulator,
+            policy_from_dict,
+            resolve_mission,
+        )
 
         experiment = MISSION_EXPERIMENT
         handle = Session().run(experiment)
         assert handle.ok
 
-        spec = resolved_mission_spec(experiment.params, experiment.seed)
+        params = experiment.params
+        spec = resolve_mission(
+            params.scenario,
+            duration_scale=params.duration_scale,
+            seed=experiment.seed,
+            window_s=params.window_s,
+        )
         simulator = MissionSimulator(spec, n_probe=2, probe_duration_s=2.0)
         direct = [
             simulator.run(policy_from_dict(payload)).to_dict()

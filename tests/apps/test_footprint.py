@@ -16,9 +16,10 @@ import pytest
 
 from repro.apps.registry import EXTENSION_APPS, PAPER_APPS, make_app
 from repro.emt import PAPER_EMTS, make_emt
+from repro.exp import common
+from repro.exp.common import run_monte_carlo_sequential
 from repro.mem import MemoryFabric, sample_fault_map_batch
 from repro.mem.layout import PAPER_GEOMETRY
-from repro.runtime import simulator
 from repro.runtime.simulator import BatchCalibrator
 from repro.signals.dataset import load_record
 
@@ -88,14 +89,14 @@ def test_footprint_rides_the_reference_run(monkeypatch):
 def _spy_bounds(monkeypatch) -> list:
     """Record the ``live_words`` of every map the calibrator samples."""
     bounds = []
-    sample = simulator.sample_fault_map_batch
+    sample = common.sample_fault_map_batch
 
     def spy(*args, **kwargs):
         fault_map = sample(*args, **kwargs)
         bounds.append(fault_map.live_words)
         return fault_map
 
-    monkeypatch.setattr(simulator, "sample_fault_map_batch", spy)
+    monkeypatch.setattr(common, "sample_fault_map_batch", spy)
     return bounds
 
 
@@ -110,7 +111,12 @@ class TestBoundedCalibration:
         batched = calibrator.calibrate(*self.ARGS)
         assert bounds == [7200]
         assert batched[1] > 0
-        assert batched == calibrator.calibrate_sequential(*self.ARGS)
+        reference = run_monte_carlo_sequential(
+            *calibrator._protocol(*self.ARGS)
+        )
+        assert batched == (
+            reference.snr_mean_db["none"], reference.snr_std_db["none"]
+        )
 
     def test_fallback_app_samples_the_whole_array(self, monkeypatch):
         bounds = _spy_bounds(monkeypatch)

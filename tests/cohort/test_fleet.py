@@ -164,13 +164,9 @@ class TestThousandPatientFleet:
         root = tmp_path_factory.mktemp("fleet-cache")
         previous = os.environ.get("REPRO_CACHE_DIR")
         os.environ["REPRO_CACHE_DIR"] = str(root)
-        # The parent process has warm in-process memos from earlier
-        # tests; a fresh cache root plus cleared memos makes the event
-        # log a complete record of this fleet's calibration work.
-        from repro.runtime import simulator as mission_simulator
-
-        mission_simulator._calibrated_quality.cache_clear()
-        mission_simulator._window_energy_pj.cache_clear()
+        # A fresh cache root is a fresh shared cache, memory layer
+        # included, so the event log is a complete record of this
+        # fleet's calibration work.
         try:
             spec = CohortSpec(
                 name="acceptance-fleet",
@@ -191,8 +187,6 @@ class TestThousandPatientFleet:
                 os.environ.pop("REPRO_CACHE_DIR", None)
             else:
                 os.environ["REPRO_CACHE_DIR"] = previous
-            mission_simulator._calibrated_quality.cache_clear()
-            mission_simulator._window_energy_pj.cache_clear()
 
     def test_fleet_completes(self, thousand_run):
         _, _, results, _ = thousand_run

@@ -134,4 +134,9 @@ class TestCalibrator:
         rows = _spy_rows(monkeypatch, _cached_app("dwt"))
         batched = calibrator.calibrate(*self.ARGS)
         assert 1 < rows[0] < calibrator.n_probe
-        assert batched == calibrator.calibrate_sequential(*self.ARGS)
+        reference = run_monte_carlo_sequential(
+            *calibrator._protocol(*self.ARGS)
+        )
+        assert batched == (
+            reference.snr_mean_db["secded"], reference.snr_std_db["secded"]
+        )

@@ -1,11 +1,12 @@
 """BatchCalibrator: bit-identical models, unchanged cache keys.
 
-The calibrator replaced the mission simulator's per-probe loop with the
-trial-batched pipeline; these tests pin the two properties that protect
+A calibration is one call of the shared Section V driver,
+``run_monte_carlo``; these tests pin the two properties that protect
 every previously-cached calibration:
 
-* the (mean, std) quality model is *exactly* what the sequential loop
-  computed from the same seeds, and
+* the (mean, std) quality model is *exactly* what the run-by-run
+  reference (``run_monte_carlo_sequential``, replaying the calibrator's
+  own arguments) computes from the same seeds, and
 * the shared disk cache's content-hash keys never see the batching —
   the payload schema (and therefore every digest) is unchanged.
 """
@@ -17,14 +18,20 @@ import os
 import numpy as np
 import pytest
 
+from repro.cache import shared_cache
 from repro.campaign.spec import content_hash
 from repro.errors import MissionError
-from repro.runtime.simulator import (
-    BatchCalibrator,
-    _calibrated_quality,
-    _probe_quality,
-)
+from repro.exp.common import run_monte_carlo_sequential
+from repro.runtime.simulator import BatchCalibrator, _calibrated_quality
 from repro.signals.metrics import SNR_CAP_DB
+
+
+def sequential(calibrator, app_name, record, noise_gain, emt_name, ber):
+    """The run-by-run reference over the calibrator's own arguments."""
+    result = run_monte_carlo_sequential(
+        *calibrator._protocol(app_name, record, noise_gain, emt_name, ber)
+    )
+    return result.snr_mean_db[emt_name], result.snr_std_db[emt_name]
 
 
 class TestBitIdentical:
@@ -33,18 +40,15 @@ class TestBitIdentical:
     def test_batched_equals_sequential(self, emt_name, ber):
         calibrator = BatchCalibrator(n_probe=3, probe_duration_s=2.0)
         batched = calibrator.calibrate("dwt", "100", 1.0, emt_name, ber)
-        sequential = calibrator.calibrate_sequential(
-            "dwt", "100", 1.0, emt_name, ber
+        assert batched == sequential(
+            calibrator, "dwt", "100", 1.0, emt_name, ber
         )
-        assert batched == sequential
 
     def test_single_probe_batch(self):
         calibrator = BatchCalibrator(n_probe=1, probe_duration_s=2.0)
         assert calibrator.calibrate(
             "dwt", "100", 1.0, "dream", 2e-3
-        ) == calibrator.calibrate_sequential(
-            "dwt", "100", 1.0, "dream", 2e-3
-        )
+        ) == sequential(calibrator, "dwt", "100", 1.0, "dream", 2e-3)
 
     def test_fallback_app_batches_identically(self):
         """Delineation has no vectorised batch path; the per-trial
@@ -52,17 +56,20 @@ class TestBitIdentical:
         calibrator = BatchCalibrator(n_probe=2, probe_duration_s=2.0)
         assert calibrator.calibrate(
             "delineation", "100", 1.0, "dream", 2e-3
-        ) == calibrator.calibrate_sequential(
-            "delineation", "100", 1.0, "dream", 2e-3
-        )
+        ) == sequential(calibrator, "delineation", "100", 1.0, "dream", 2e-3)
 
-    def test_probe_quality_delegates_to_batched(self):
+    def test_calibrated_quality_delegates_to_batched(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
         calibrator = BatchCalibrator(
             n_probe=2, probe_duration_s=2.0, snr_cap_db=SNR_CAP_DB
         )
-        assert _probe_quality(
+        assert _calibrated_quality(
             "dwt", "100", 1.0, "none", 1e-3, 2, 2.0, SNR_CAP_DB
         ) == calibrator.calibrate("dwt", "100", 1.0, "none", 1e-3)
+        assert shared_cache().stats.computed == 1
 
     def test_rejects_bad_fidelity_knobs(self):
         with pytest.raises(MissionError):
@@ -79,7 +86,6 @@ class TestCacheKeysUnchanged:
         digest the sequential implementation's payload produced."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-        _calibrated_quality.cache_clear()
 
         args = dict(
             app_name="dwt",
@@ -112,10 +118,9 @@ class TestCacheKeysUnchanged:
 
         # And the cached value is the batched == sequential model.
         calibrator = BatchCalibrator(n_probe=2, probe_duration_s=2.0)
-        assert (mean, std) == calibrator.calibrate_sequential(
-            "dwt", "100", 1.0, "dream", 2e-3
+        assert (mean, std) == sequential(
+            calibrator, "dwt", "100", 1.0, "dream", 2e-3
         )
-        _calibrated_quality.cache_clear()
 
     def test_model_values_are_plain_floats(self):
         calibrator = BatchCalibrator(n_probe=2, probe_duration_s=2.0)
@@ -139,3 +144,38 @@ class TestCacheKeysUnchanged:
         # Deterministic: the same mission re-runs to the same result.
         again = sim.run(make_policy("hysteresis"))
         assert result.to_dict() == again.to_dict()
+
+
+class TestOneMemo:
+    def test_shared_cache_counts_every_lookup(self, tmp_path, monkeypatch):
+        """The shared cache is the one in-process memo: a mission run
+        twice in one process sends every calibration and pricing lookup
+        to it, and the repeats are its memory hits."""
+        from repro.runtime import MissionSimulator, make_policy
+        from repro.runtime import simulator
+        from repro.runtime.scenarios import scenario_spec
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+        calls = []
+        for name in ("_calibrated_quality", "_window_energy_pj"):
+            original = getattr(simulator, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(simulator, name, counted)
+
+        spec = scenario_spec("overnight").scaled(0.01)
+        results = [
+            MissionSimulator(spec, n_probe=2, probe_duration_s=2.0)
+            .run(make_policy("hysteresis"))
+            .to_dict()
+            for _ in range(2)
+        ]
+        assert results[0] == results[1]
+        stats = shared_cache().stats
+        assert {"_calibrated_quality", "_window_energy_pj"} <= set(calls)
+        assert stats.lookups == len(calls)
+        assert stats.memory_hits == len(calls) - stats.computed > 0
