@@ -11,10 +11,14 @@ exactly what ``repro serve`` runs, minus the CLI wrapper):
   landing in sharded stores (>= 2 shards exercised across the burst);
 * 10,000 in-process job lifecycles (submit -> claimed -> running ->
   done) on one long-lived :class:`~repro.service.queue.JobQueue` — the
-  journal's per-operation cost, which must not grow with its history.
+  journal's per-operation cost, which must not grow with its history;
+* 5,000 traced :func:`~repro.obs.run_lifecycle` runs into one run
+  registry, each through a fresh :class:`~repro.obs.RunRegistry` as a
+  fleet worker opens it — registering and finalizing a run must not
+  grow with the registry's history either.
 
-Both legs assert correctness (all jobs ``done``, every record
-readable back) before recording numbers; the throughput is gated in
+Every leg asserts correctness (all jobs ``done``, every record
+readable back) before recording numbers; the throughputs are gated in
 ``baselines.json`` through ``check_regression.py``.
 
 Fast-mode scale knobs (environment):
@@ -35,6 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _harness import write_bench  # noqa: E402
 
+from repro import obs  # noqa: E402
 from repro.campaign.spec import CampaignSpec  # noqa: E402
 from repro.campaign.store import ResultStore, SHARDS_ENV  # noqa: E402
 from repro.service import (  # noqa: E402
@@ -234,5 +239,48 @@ def test_journal_lifecycles(tmp_path):
             "lifecycles": n_lifecycles,
             "block": block,
             "journal_bytes": queue.path.stat().st_size,
+        },
+    )
+
+
+def test_registry_lifecycles(tmp_path, monkeypatch):
+    """5,000 traced run lifecycles into one registry, timed per 500.
+
+    Each run opens its trace sink and a fresh registry handle, registers
+    and finalizes, as every service job does in its worker.
+    ``last_to_first`` compares the last 500 runs' time with the first
+    500's: near 1 when ending a run reads nothing it did not write,
+    growing with the history when it re-parses the registry.
+    """
+    n_runs, block = 5_000, 500
+    monkeypatch.setenv(obs.core.ENV_DIR, str(tmp_path))
+    blocks = []
+    started = time.perf_counter()
+    for first in range(0, n_runs, block):
+        block_started = time.perf_counter()
+        for index in range(first, first + block):
+            with obs.run_lifecycle(
+                f"lifecycle-{index:05d}", name="lifecycle",
+                kind="campaign", spec_digest="d1g3st",
+            ) as lifecycle:
+                lifecycle.metrics["n_points"] = 1
+        blocks.append(time.perf_counter() - block_started)
+    elapsed = time.perf_counter() - started
+    runs = obs.RunRegistry(tmp_path).load()
+    assert len(runs) == n_runs
+    assert {run.status for run in runs.values()} == {"ok"}
+
+    write_bench(
+        "registry_lifecycles",
+        metrics={
+            "lifecycles_per_s": n_runs / elapsed,
+            "total_s": elapsed,
+            "last_to_first": blocks[-1] / blocks[0],
+        },
+        gate=("lifecycles_per_s",),
+        meta={
+            "lifecycles": n_runs,
+            "block": block,
+            "registry_bytes": (tmp_path / "registry.jsonl").stat().st_size,
         },
     )

@@ -68,7 +68,7 @@ from . import (
 )
 from .errors import ReproError
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "api",

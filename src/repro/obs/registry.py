@@ -328,14 +328,40 @@ class RunRegistry:
         (the record is simply sparse); that keeps the registry usable
         for runs traced by code that predates registration.
         """
+        return self._finalize(
+            self.get(run_id) or RunRecord(run_id=run_id, host=host_metadata()),
+            status,
+            wall_s=wall_s,
+            metrics=metrics,
+            error=error,
+            ended_at=ended_at,
+            peak_rss_bytes=peak_rss_bytes,
+            cpu_s=cpu_s,
+        )
+
+    def _finalize(
+        self,
+        base: RunRecord,
+        status: str,
+        wall_s: float | None = None,
+        metrics: dict[str, Any] | None = None,
+        error: str | None = None,
+        ended_at: float | None = None,
+        peak_rss_bytes: int | None = None,
+        cpu_s: float | None = None,
+    ) -> RunRecord:
+        """Append ``base`` carried forward as the run's terminal record.
+
+        The one terminal-record builder: :meth:`finalize` passes the
+        run's latest line, :func:`run_lifecycle` the record its own
+        :meth:`register` returned, so a lifecycle reads no registry
+        byte.
+        """
         if status not in ("ok", "failed", "interrupted"):
             raise ObsError(
                 "finalize status must be 'ok', 'failed' or 'interrupted',"
                 f" got {status!r}"
             )
-        base = self.get(run_id) or RunRecord(
-            run_id=run_id, host=host_metadata()
-        )
         return self._append(
             replace(
                 base,
@@ -469,7 +495,10 @@ def run_lifecycle(
     (completed work was persisted, so the run is resumable), ``failed``
     on any other exception or a positive ``metrics["n_failed"]``, else
     ``ok``.  The sink is closed first, so a watcher that sees a terminal
-    status can rely on the trace being complete on disk.
+    status can rely on the trace being complete on disk.  The terminal
+    record carries forward the record this run registered, so its cost
+    does not grow with the registry: no other writer touches a run's
+    latest line while its owner is alive.
     """
     owns_trace = core.start_run(run_id, name=name, attrs=attrs)
     handle = RunLifecycle(
@@ -477,10 +506,10 @@ def run_lifecycle(
         trace_path=core.trace_path(),
         trace_run=core.trace_run_id(),
     )
-    registry = None
+    registry = registered = None
     if owns_trace and handle.trace_path is not None:
         registry = RunRegistry(handle.trace_path.parent)
-        registry.register(
+        registered = registry.register(
             run_id, name=name, kind=kind, spec_digest=spec_digest,
             trace_path=handle.trace_path,
         )
@@ -504,8 +533,8 @@ def run_lifecycle(
             if status == "ok" and n_failed:
                 status = "failed"
                 error = f"{n_failed} point(s) failed"
-            registry.finalize(
-                run_id,
+            registry._finalize(
+                registered,
                 status,
                 wall_s=handle.wall_s,
                 metrics=handle.metrics,

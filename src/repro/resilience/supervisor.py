@@ -46,6 +46,7 @@ import traceback
 from multiprocessing.connection import wait as _conn_wait
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 from .. import obs
@@ -110,6 +111,30 @@ class WorkOutcome:
         }
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread in this process.
+
+    A pool's workers already run side by side; each one keeping
+    OpenBLAS's default of a thread per CPU oversubscribes the machine.
+    A no-op when numpy bundles no scipy-openblas library exporting the
+    setter.
+    """
+    import ctypes
+
+    import numpy
+
+    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+        return
+
+
 def _worker_main(fn: Callable[[Any], Any], tasks: Any, conn: Any) -> None:
     """Worker process body: claim, (maybe) suffer chaos, evaluate.
 
@@ -130,6 +155,7 @@ def _worker_main(fn: Callable[[Any], Any], tasks: Any, conn: Any) -> None:
         pass
     from queue import Empty  # worker-side only; the owner never needs it
 
+    _one_blas_thread()
     owner = os.getppid()
     chaos = active_chaos()
     while True:

@@ -380,11 +380,10 @@ class ExperimentService:
             return []
         units: list[tuple[str, dict[str, Any]]] = []
         with self._lock:
-            if len(self._inflight) >= self.max_inflight:
+            free = self.max_inflight - len(self._inflight)
+            if free <= 0:
                 return []
-            for job in self.queue.pending():
-                if len(self._inflight) >= self.max_inflight:
-                    break
+            for job in self.queue.pending(limit=free):
                 if job.job_id in self._inflight:
                     continue
                 unit = {

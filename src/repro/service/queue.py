@@ -6,7 +6,9 @@ records every state transition of every job the daemon ever accepted —
 so it is both the queue and its own audit log, and a SIGKILLed daemon
 loses at most the single transition it was writing.  A submission
 appends the full record; a transition appends a *delta line* without
-the payload (see ``docs/service.md``).  The fold merges per job id.
+the payload (see ``docs/service.md``).  The fold merges per job id
+and keeps an index of the queued jobs, so a dispatch sorts only
+those.
 
 Job lifecycle::
 
@@ -162,9 +164,45 @@ def _valid_line(payload: Any) -> bool:
     )
 
 
-def _merge(previous: dict | None, line: dict) -> dict:
-    """A full record replaces the job; a delta line updates it."""
-    return line if "payload" in line else {**(previous or {}), **line}
+def _dispatch_key(line: dict) -> tuple[int, float, str]:
+    """Dispatch order of a folded line: priority, then age, then id."""
+    return (
+        -int(line.get("priority", 0)),
+        float(line.get("submitted_at", 0.0)),
+        str(line["job_id"]),
+    )
+
+
+class _JobJournal(Journal):
+    """The job journal, with an index of the jobs its fold holds queued.
+
+    The index is part of the fold: merging a line files the job in or
+    out of it, and a reset (a compaction, a rewritten file) clears both
+    before the file is folded again, so it never names a job the fold
+    no longer holds ``queued``.
+    """
+
+    def __init__(self, path: Path) -> None:
+        super().__init__(path, _valid_line, key="job_id", merge=self._merge)
+
+    def _reset(self, file: tuple[int, int] | None) -> None:
+        super()._reset(file)
+        self._queued: dict[str, dict] = {}
+
+    def _merge(self, previous: dict | None, line: dict) -> dict:
+        """A full record replaces the job; a delta line updates it."""
+        merged = line if "payload" in line else {**(previous or {}), **line}
+        if merged["status"] == "queued":
+            self._queued[merged["job_id"]] = merged
+        else:
+            self._queued.pop(merged["job_id"], None)
+        return merged
+
+    def queued(self) -> list[dict]:
+        """The folded lines of the queued jobs, after reading new bytes."""
+        self.read()
+        with self._lock:
+            return list(self._queued.values())
 
 
 class JobQueue:
@@ -180,9 +218,7 @@ class JobQueue:
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.path = self.root / JOURNAL_BASENAME
-        self.journal = Journal(
-            self.path, _valid_line, key="job_id", merge=_merge
-        )
+        self.journal = _JobJournal(self.path)
 
     # -- writes ------------------------------------------------------------
 
@@ -344,19 +380,15 @@ class JobQueue:
             selected = selected[: max(0, limit)]
         return selected
 
-    def pending(self) -> list[JobRecord]:
-        """Queued jobs in dispatch order: priority, then age, then id."""
-        queued = [
-            JobRecord.from_dict(line)
-            for line in self.journal.load().values()
-            if line["status"] == "queued"
-        ]
-        queued.sort(
-            key=lambda record: (
-                -record.priority, record.submitted_at, record.job_id,
-            )
-        )
-        return queued
+    def pending(self, limit: int | None = None) -> list[JobRecord]:
+        """Queued jobs in dispatch order: priority, then age, then id.
+
+        Only the queued jobs are sorted, and records are built for the
+        first ``limit`` of them (all by default), so a dispatch costs
+        what the queue holds, not what the journal ever held.
+        """
+        lines = sorted(self.journal.queued(), key=_dispatch_key)
+        return [JobRecord.from_dict(line) for line in lines[:limit]]
 
     def stale_owner(self, record: JobRecord) -> bool:
         """Whether an in-flight job's owner process is provably dead."""

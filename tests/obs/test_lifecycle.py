@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
+import shutil
+
 import pytest
 
 from repro import obs
 from repro.errors import RunInterrupted
+from repro.journal import Journal
 from repro.obs import RunRecord, RunRegistry, host_metadata, pid_alive
 from repro.service.queue import JobQueue, JobRecord
 
@@ -91,3 +96,72 @@ def test_nested_run_leaves_the_outer_sink_alone(tmp_path):
     registry = RunRegistry(tmp_path)
     assert registry.get("inner-run") is None
     assert registry.get("outer-run").status == "ok"
+
+
+#: Measured per run, so they differ between any two terminal lines.
+TIMING_FIELDS = ("ended_at", "wall_s", "cpu_s", "peak_rss_bytes")
+
+
+def _lines(path):
+    return [
+        json.loads(line)
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+
+
+@pytest.mark.parametrize("outcome", ["ok", "n_failed", "raise"])
+def test_terminal_line_equals_finalize_on_the_same_registry(
+    tmp_path, outcome
+):
+    """A lifecycle builds its terminal line from its own registration;
+    ``RunRegistry.finalize`` on a copy of the registry as it stood at
+    registration writes the same line, timing fields aside."""
+    trace_dir, copy_dir = tmp_path / "trace", tmp_path / "copy"
+    obs.set_trace_dir(trace_dir)
+    with contextlib.suppress(ValueError):
+        with lifecycle() as handle:
+            copy_dir.mkdir()
+            shutil.copy(trace_dir / "registry.jsonl", copy_dir)
+            handle.metrics.update(n_points=3, n_failed=0)
+            if outcome == "n_failed":
+                handle.metrics["n_failed"] = 2
+            elif outcome == "raise":
+                raise ValueError("boom")
+    registered, terminal = _lines(trace_dir / "registry.jsonl")
+    assert registered["status"] == "running"
+    reference = RunRegistry(copy_dir).finalize(
+        "life-abc123", terminal["status"], metrics=terminal["metrics"],
+        error=terminal.get("error"),
+    ).to_dict()
+    for name in TIMING_FIELDS:
+        assert name in terminal
+        reference.pop(name, None)
+        terminal.pop(name)
+    assert terminal == reference
+    assert terminal["status"] == {
+        "ok": "ok", "n_failed": "failed", "raise": "failed",
+    }[outcome]
+
+
+def test_finalize_parses_no_registry_byte(tmp_path, monkeypatch):
+    """Ending a run costs the same after 200 earlier runs as after
+    none: its terminal line is built without reading the registry."""
+    registry = RunRegistry(tmp_path)
+    for index in range(200):
+        registry.register(f"earlier-{index:03d}", name="earlier")
+        registry.finalize(f"earlier-{index:03d}", "ok")
+    parsed = []
+    read = Journal.read
+
+    def spy(self, final=False):
+        records = read(self, final)
+        if self.path.name == "registry.jsonl":
+            parsed.append(self.parsed_bytes)
+        return records
+
+    monkeypatch.setattr(Journal, "read", spy)
+    obs.set_trace_dir(tmp_path)
+    with lifecycle():
+        pass
+    assert sum(parsed) == 0
+    assert RunRegistry(tmp_path).get("life-abc123").status == "ok"

@@ -232,3 +232,44 @@ class TestRetryPolicy:
         assert 0.2 <= b3 <= 0.2 * 1.25
         # The cap bounds the un-jittered delay however high attempts go.
         assert policy.backoff_s("k", 10) <= 0.5 * 1.25
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS, or ``None`` when it bundles none."""
+    import ctypes
+    from pathlib import Path
+
+    import numpy
+
+    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+def blas_threads(_x: int) -> int:
+    return _openblas().scipy_openblas_get_num_threads64_()
+
+
+class TestBlasThreads:
+    def test_each_worker_runs_one_blas_thread(self):
+        if _openblas() is None:
+            pytest.skip("numpy bundles no scipy-openblas")
+        outcomes = drain(
+            SupervisedPool(blas_threads, 2, name="blas"),
+            [(f"k{i}", i) for i in range(4)],
+        )
+        assert sorted(o.value for o in outcomes) == [1, 1, 1, 1]
+
+    def test_no_bundled_library_is_a_no_op(self, tmp_path, monkeypatch):
+        import numpy
+
+        from repro.resilience import supervisor
+
+        monkeypatch.setattr(
+            numpy, "__file__", str(tmp_path / "numpy" / "__init__.py")
+        )
+        supervisor._one_blas_thread()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.cache import shared_cache
@@ -128,22 +127,41 @@ class TestCacheKeysUnchanged:
         assert isinstance(mean, float) and isinstance(std, float)
         assert (mean, std) == (SNR_CAP_DB, 0.0)
 
-    def test_mission_simulator_results_unchanged_by_batching(self):
+    def test_mission_simulator_results_unchanged_by_batching(
+        self, tmp_path, monkeypatch
+    ):
         """End to end: a short mission's result equals a run whose
         calibrations were produced by the sequential reference."""
         from repro.runtime import MissionSimulator, make_policy
+        from repro.runtime import simulator
         from repro.runtime.scenarios import scenario_spec
 
-        np.random.default_rng(0)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         sim = MissionSimulator(
             scenario_spec("overnight").scaled(0.01),
             n_probe=2,
             probe_duration_s=2.0,
         )
         result = sim.run(make_policy("hysteresis"))
-        # Deterministic: the same mission re-runs to the same result.
-        again = sim.run(make_policy("hysteresis"))
-        assert result.to_dict() == again.to_dict()
+
+        references = []
+
+        def reference(
+            app_name, record, noise_gain, emt_name, ber, n_probe,
+            probe_duration_s, snr_cap_db,
+        ):
+            references.append(emt_name)
+            calibrator = BatchCalibrator(
+                n_probe=n_probe, probe_duration_s=probe_duration_s,
+                snr_cap_db=snr_cap_db,
+            )
+            return sequential(
+                calibrator, app_name, record, noise_gain, emt_name, ber
+            )
+
+        monkeypatch.setattr(simulator, "_calibrated_quality", reference)
+        assert sim.run(make_policy("hysteresis")) == result
+        assert references
 
 
 class TestOneMemo:

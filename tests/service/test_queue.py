@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from repro.errors import ServiceError
+from repro.journal import Journal
 from repro.service import JobQueue, JobRecord, TERMINAL_STATUSES
 from repro.service.queue import JOURNAL_BASENAME
 
@@ -243,3 +244,104 @@ def test_journal_lines_are_sorted_json(queue):
     line = queue.path.read_text(encoding="utf-8").splitlines()[0]
     payload = json.loads(line)
     assert line == json.dumps(payload, sort_keys=True)
+
+
+def _old_pending(queue):
+    """The full sort over every job the journal holds."""
+    queued = [r for r in queue.load().values() if r.status == "queued"]
+    queued.sort(key=lambda r: (-r.priority, r.submitted_at, r.job_id))
+    return queued
+
+
+def _line(job_id, status, priority=0, submitted_at=1.0):
+    return JobRecord(
+        job_id=job_id, kind="experiment", payload={"name": job_id},
+        priority=priority, status=status, submitted_at=submitted_at,
+        updated_at=submitted_at,
+    ).to_dict()
+
+
+def _write_journal(queue, lines):
+    queue.root.mkdir(parents=True, exist_ok=True)
+    queue.path.write_text(
+        "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines),
+        encoding="utf-8",
+    )
+
+
+class TestQueuedIndex:
+    @pytest.fixture()
+    def mixed(self, queue):
+        """Jobs in every state, with tied priorities and ages."""
+        for index in range(24):
+            submit(queue, job_id=f"job-{index:02d}", priority=index % 3)
+        for index in range(0, 24, 4):
+            queue.mark(f"job-{index:02d}", "claimed", owner_pid=1)
+        for index in range(1, 24, 4):
+            queue.mark(f"job-{index:02d}", "done")
+        queue.mark("job-02", "cancelled")
+        queue.mark("job-00", "queued", requeued=True)
+        submit(queue, job_id="job-01")  # done: not re-queued
+        return queue
+
+    def test_pending_equals_the_full_sort(self, mixed):
+        assert mixed.pending() == _old_pending(mixed)
+        assert mixed.pending(limit=4) == _old_pending(mixed)[:4]
+        assert mixed.pending(limit=0) == []
+
+    def test_pending_after_compaction(self, mixed):
+        assert mixed.journal.compact() > 0
+        fresh = JobQueue(mixed.root)
+        assert mixed.pending() == fresh.pending() == _old_pending(fresh)
+        mixed.mark("job-03", "claimed")
+        assert "job-03" not in [r.job_id for r in mixed.pending()]
+        assert mixed.pending() == _old_pending(JobQueue(mixed.root))
+
+    @pytest.mark.parametrize("how", ["in_place", "replaced"])
+    def test_pending_after_an_external_rewrite(self, mixed, how):
+        assert mixed.pending()
+        lines = [
+            _line("new-a", "queued", priority=1, submitted_at=5.0),
+            _line("new-b", "queued", submitted_at=2.0),
+            _line("job-03", "done"),
+        ]
+        if how == "in_place":
+            _write_journal(mixed, lines)
+        else:
+            tmp = mixed.root / "rewrite.tmp"
+            tmp.write_text(
+                "".join(json.dumps(line) + "\n" for line in lines),
+                encoding="utf-8",
+            )
+            os.replace(tmp, mixed.path)
+        assert [r.job_id for r in mixed.pending()] == ["new-a", "new-b"]
+        assert mixed.pending() == _old_pending(mixed)
+
+    def test_pending_builds_records_for_queued_jobs_only(
+        self, queue, monkeypatch
+    ):
+        """A long history costs a dispatch nothing: 10,000 terminal jobs
+        and 3 queued ones build 3 records, and the fold is not copied."""
+        terminal = [
+            _line(f"old-{index:05d}", TERMINAL_STATUSES[index % 3])
+            for index in range(10_000)
+        ]
+        queued = [_line(f"new-{index}", "queued") for index in range(3)]
+        _write_journal(queue, terminal + queued)
+        built = []
+        from_dict = JobRecord.from_dict.__func__
+
+        def spy(cls, payload):
+            built.append(payload["job_id"])
+            return from_dict(cls, payload)
+
+        monkeypatch.setattr(JobRecord, "from_dict", classmethod(spy))
+        monkeypatch.setattr(
+            Journal, "load", lambda self: pytest.fail("fold copied")
+        )
+        assert [r.job_id for r in queue.pending()] == [
+            "new-0", "new-1", "new-2",
+        ]
+        assert len(built) == 3
+        assert [r.job_id for r in queue.pending(limit=1)] == ["new-0"]
+        assert len(built) == 4
